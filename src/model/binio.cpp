@@ -102,7 +102,7 @@ Method read_method(ByteReader& r) {
         throw CodecError("rirb: bad visibility");
     m.vis = static_cast<Visibility>(vis);
     m.code.max_locals = r.i32();
-    std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count();
     m.code.instrs.reserve(n);
     for (std::uint32_t k = 0; k < n; ++k) m.code.instrs.push_back(read_instruction(r));
     std::uint32_t hn = r.u32();

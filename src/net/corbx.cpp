@@ -82,8 +82,14 @@ public:
         consumed_ += 8;
         return r_.f64();
     }
+    /// Like ByteReader::count, after CDR alignment.
+    std::uint32_t count() {
+        const std::uint32_t n = u32();
+        if (n > r_.remaining()) throw CodecError("corbx: count exceeds message");
+        return n;
+    }
     std::string str() {
-        std::uint32_t n = u32();
+        const std::uint32_t n = count();
         std::string out;
         out.reserve(n);
         for (std::uint32_t k = 0; k < n; ++k) out += static_cast<char>(u8());
@@ -203,7 +209,7 @@ CallRequest CorbxCodec::decode_request(const Bytes& data) const {
     req.cls = r.str();
     req.method = r.str();
     req.desc = r.str();
-    std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count();
     req.args.reserve(n);
     for (std::uint32_t k = 0; k < n; ++k) req.args.push_back(read_value(r));
     return req;

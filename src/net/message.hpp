@@ -47,10 +47,10 @@ enum class RequestKind : std::uint8_t {
 struct CallRequest {
     RequestKind kind = RequestKind::Invoke;
     std::uint64_t request_id = 0;
-    // Trace context (see src/obs/trace.hpp): the caller's trace id and the
-    // span the request was issued under, so the remote dispatch nests under
-    // the proxy invocation that caused it — across forwarding chains too.
-    // Zero means "not traced"; codecs always carry both.
+    // Trace context fields, always 0: span parentage comes from the
+    // journal's open-span stack (obs/journal.hpp), not the wire.  Codecs
+    // still carry both so no frame changes by a byte; dropping them is a
+    // wire-format change.
     std::uint64_t trace_id = 0;
     std::uint64_t parent_span = 0;
     // Event-sequencing metadata (simulation bookkeeping, NOT wire data):

@@ -83,7 +83,7 @@ void read_call_body(ByteReader& r, CallRequest& req) {
     req.cls = r.str();
     req.method = r.str();
     req.desc = r.str();
-    std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count();
     req.args.reserve(n);
     for (std::uint32_t k = 0; k < n; ++k) req.args.push_back(read_value(r));
 }

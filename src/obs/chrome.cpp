@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/export.hpp"
+#include "obs/spans.hpp"
 
 namespace rafda::obs {
 
@@ -14,10 +15,16 @@ namespace {
 /// is distinguishable from it.
 std::int64_t node_pid(std::int32_t node) { return node >= 0 ? node + 1 : 0; }
 
+/// Span begin/end events are drawn as their span, not as instants.
+bool is_span_marker(const JournalEvent& e) {
+    return e.kind == JournalEvent::Kind::SpanBegin ||
+           e.kind == JournalEvent::Kind::SpanEnd;
+}
+
 }  // namespace
 
-std::string chrome_trace_json(const Tracer& tracer, const Journal& journal) {
-    const std::vector<Span>& spans = tracer.spans();
+std::string chrome_trace_json(const Journal& journal) {
+    const std::vector<Span> spans = spans_of(journal);
 
     // The lane (tid) of every span is the node of its trace's root span —
     // the client that initiated the logical operation.  Spans arrive in
@@ -34,6 +41,7 @@ std::string chrome_trace_json(const Tracer& tracer, const Journal& journal) {
         tids[pid].insert(trace_lane[s.trace]);
     }
     journal.visit([&](const JournalEvent& e) {
+        if (is_span_marker(e)) return;
         pids.insert(node_pid(e.node));
         tids[node_pid(e.node)].insert(0);
     });
@@ -70,13 +78,11 @@ std::string chrome_trace_json(const Tracer& tracer, const Journal& journal) {
            << "\",\"cat\":\"span\",\"ts\":" << s.start_us
            << ",\"dur\":" << s.duration_us() << ",\"pid\":" << node_pid(s.node)
            << ",\"tid\":" << trace_lane[s.trace] << ",\"args\":{\"trace\":" << s.trace
-           << ",\"span\":" << s.id;
-        for (const auto& [k, v] : s.notes)
-            os << ",\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
-        os << "}}";
+           << ",\"span\":" << s.id << "}}";
     }
 
     journal.visit([&](const JournalEvent& e) {
+        if (is_span_marker(e)) return;
         sep();
         os << "{\"ph\":\"i\",\"s\":\"p\",\"name\":\"" << journal_kind_name(e.kind);
         if (!e.detail.empty()) os << " " << json_escape(e.detail);

@@ -1,5 +1,5 @@
-// Chrome trace-event export — spans + journal events as a Perfetto-loadable
-// timeline.
+// Chrome trace-event export — the journal as a Perfetto-loadable timeline:
+// its span view plus its remaining events.
 //
 // The Chrome trace-event JSON format (the `chrome://tracing` / Perfetto
 // legacy ingest format) models a trace as processes containing threads
@@ -12,23 +12,22 @@
 //                    concurrent clients appear as parallel lanes on the
 //                    server process exactly where virtual time overlaps.
 //
-// Spans become complete events ("ph":"X", ts/dur in virtual µs); journal
-// events become instants ("ph":"i"); process/thread names are emitted as
-// "M" metadata records.  Virtual time *is* the ts axis, so what Perfetto
-// renders is the event-sequenced schedule itself, reproducible bit-for-bit
-// from the seed.
+// Spans (obs/spans.hpp) become complete events ("ph":"X", ts/dur in
+// virtual µs); the other journal events become instants ("ph":"i");
+// process/thread names are "M" metadata records.  Virtual time *is* the
+// ts axis, so what Perfetto renders is the event-sequenced schedule
+// itself, reproducible bit-for-bit from the seed.
 #pragma once
 
 #include <string>
 
 #include "obs/journal.hpp"
-#include "obs/trace.hpp"
 
 namespace rafda::obs {
 
 /// The whole trace as one JSON document:
 /// {"displayTimeUnit":"ms","traceEvents":[...]}.  Every event carries the
 /// required ph/ts/pid fields (tools/check.sh validates this contract).
-std::string chrome_trace_json(const Tracer& tracer, const Journal& journal);
+std::string chrome_trace_json(const Journal& journal);
 
 }  // namespace rafda::obs

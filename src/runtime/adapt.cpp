@@ -151,10 +151,9 @@ AdaptDecision& AdaptationEngine::record(AdaptDecision d) {
     decisions_.push_back(std::move(d));
     AdaptDecision& r = decisions_.back();
     decisions_ctr_->add();
-    if (system_->journal().enabled())
-        system_->journal().record(obs::JournalEvent::Kind::Adapt, r.t_us, r.from,
-                                  r.to, static_cast<std::uint64_t>(r.action),
-                                  r.projected_saved_bytes, r.cls);
+    system_->journal().record(obs::JournalEvent::Kind::Adapt, r.t_us, r.from, r.to,
+                              static_cast<std::uint64_t>(r.action),
+                              r.projected_saved_bytes, r.cls);
     return r;
 }
 

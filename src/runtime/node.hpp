@@ -42,8 +42,9 @@ public:
     /// new work.  Local work (codec CPU, dispatch) advances it; message
     /// arrivals reconcile it at the RPC join points, so concurrent clients
     /// overlap in virtual time while one sequential caller reduces to the
-    /// old global clock (DESIGN.md §13).
-    std::uint64_t clock_us() const noexcept { return clock_us_; }
+    /// old global clock (DESIGN.md §13).  A reference, so an obs::SpanScope
+    /// can keep its address and re-read it when the span ends.
+    const std::uint64_t& clock_us() const noexcept { return clock_us_; }
     /// Charges `us` of local work on this node's clock.
     void advance_clock(std::uint64_t us);
     /// Clock reconciliation: pulls the clock up to event time `t` (a

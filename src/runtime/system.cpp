@@ -1,6 +1,7 @@
 #include "runtime/system.hpp"
 
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "model/assembler.hpp"
@@ -58,7 +59,6 @@ System::System(const model::ClassPool& original, SystemOptions options)
     network_.set_default_link(options.default_link);
     network_.attach_metrics(&metrics_);
     network_.attach_journal(&journal_);
-    tracer_.set_clock([this] { return network_.now_us(); });
     set_log_time_source(
         [this] { return static_cast<std::int64_t>(network_.now_us()); }, this);
     migrations_counter_ = &metrics_.counter("runtime.migrations");
@@ -191,9 +191,8 @@ void System::note_recovery(net::NodeId node_id, const Wal::ReplayResult& res,
         wal_recoveries_->add();
         wal_replayed_->add(res.records);
     }
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Recover, t_us, node_id, -1,
-                        res.records, res.bytes, {});
+    journal_.record(obs::JournalEvent::Kind::Recover, t_us, node_id, -1, res.records,
+                    res.bytes);
 }
 
 CircuitBreaker& System::breaker(net::NodeId dst, const std::string& protocol) {
@@ -238,9 +237,8 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
         if (br && br->state == CircuitBreaker::State::Open) {
             if (caller.clock_us() >= br->opened_at_us + rp.breaker_cooldown_us) {
                 br->set_state(CircuitBreaker::State::HalfOpen);
-                if (journal_.enabled())
-                    journal_.record(obs::JournalEvent::Kind::Breaker,
-                                    caller.clock_us(), dst, src, 2, 0, protocol);
+                journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(), dst,
+                                src, 2, 0, protocol);
             } else {
                 rpc_breaker_open_->add();
                 throw Dropped{"breaker open for node " + std::to_string(dst) + " via " +
@@ -262,12 +260,11 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
             note_node_fault(dst, false, caller.clock_us());
             req.attempt = attempt;
             try {
-                obs::ScopedSpan span;
-                if (tracer_.enabled() && attempt > 0) {
-                    span = obs::ScopedSpan(
-                        tracer_, "rpc.attempt " + std::to_string(attempt), src);
-                    tracer_.note("request_id", std::to_string(req.request_id));
-                }
+                std::optional<obs::SpanScope> span;
+                if (attempt > 0)
+                    span.emplace(journal_, &caller.clock_us(), src, [&] {
+                        return "rpc.attempt " + std::to_string(attempt);
+                    }, dst, req.request_id);
                 net::CallReply reply = rpc_attempt(src, dst, protocol, req, pm);
                 // Any decoded reply — fault or not — proves the transport
                 // round-trip works; guest-level faults never trip the
@@ -275,7 +272,7 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
                 if (br) {
                     const bool reopened = br->state != CircuitBreaker::State::Closed;
                     br->record_success();
-                    if (reopened && journal_.enabled())
+                    if (reopened)
                         journal_.record(obs::JournalEvent::Kind::Breaker,
                                         caller.clock_us(), dst, src, 0, 0, protocol);
                 }
@@ -288,9 +285,8 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
         if (failed && br &&
             br->record_failure(rp.breaker_threshold, caller.clock_us())) {
             log_info("runtime", "breaker opened for node ", dst, " via ", protocol);
-            if (journal_.enabled())
-                journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(),
-                                dst, src, 1, 0, protocol);
+            journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(), dst,
+                            src, 1, 0, protocol);
         }
         // Retry decision.  Reply-loss means the callee already executed:
         // without dedup a retry would re-execute (the §12 instance leak),
@@ -306,10 +302,8 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
         if (rp.jitter_us) delay += retry_jitter_rng_.below(rp.jitter_us + 1);
         if (req.deadline_us && caller.clock_us() + delay >= req.deadline_us) {
             rpc_timeouts_->add();
-            if (journal_.enabled())
-                journal_.record(obs::JournalEvent::Kind::RpcTimeout,
-                                caller.clock_us(), src, dst, req.request_id, 0,
-                                "client");
+            journal_.record(obs::JournalEvent::Kind::RpcTimeout, caller.clock_us(), src,
+                            dst, req.request_id, 0, "client");
             last.what = "deadline exceeded after " + std::to_string(attempt + 1) +
                         " attempt(s): " + last.what;
             break;
@@ -319,9 +313,8 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
         ++retries_spent_;
         rpc_retries_->add();
         if (last.executed_remotely) rpc_retries_reply_loss_->add();
-        if (journal_.enabled())
-            journal_.record(obs::JournalEvent::Kind::RpcRetry, caller.clock_us(),
-                            src, dst, req.request_id, attempt + 1, {});
+        journal_.record(obs::JournalEvent::Kind::RpcRetry, caller.clock_us(), src, dst,
+                        req.request_id, attempt + 1);
     }
     throw last;
 }
@@ -338,14 +331,14 @@ void System::note_node_fault(net::NodeId dst, bool down, std::uint64_t t_us) {
 net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
                                    const std::string& protocol, net::CallRequest& req,
                                    ProtoMetrics& pm) {
+    using Kind = obs::JournalEvent::Kind;
     net::Codec& c = codec(protocol);
     Node& caller = node(src);
     Node& callee = node(dst);
-    const bool traced = tracer_.enabled();
-    // Stamp the caller's trace context into the wire header; the server
-    // side parents its dispatch span from these fields, not from the stack.
-    req.trace_id = tracer_.current_trace();
-    req.parent_span = tracer_.current_span();
+    // Each stage boundary below records exactly one journal event; the
+    // span view pairs consecutive events of this request id into the
+    // encode/transfer/decode stage spans (DESIGN.md §10).
+    const std::uint64_t rid = req.request_id;
 
     // Codec CPU for a payload, split so the node that serialises pays the
     // encode half and the node that parses pays the decode half.  The two
@@ -365,90 +358,71 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     BatchLane& lane = batch_lanes_[{src, dst}];
     bool coalesce = false;
     net::BatchContext entry_ctx;
-    {
-        obs::ScopedSpan span;
-        if (traced)
-            span = obs::ScopedSpan(tracer_, "codec.encode_request " + protocol, src);
-        // Batch join: if the directed link still carries an earlier
-        // same-protocol request frame with room, tentatively encode this
-        // call as a compact continuation entry.  The join must be decided
-        // against the clock *after* the encode charge (the entry's own
-        // size sets the charge), so encode first and fall back to a full
-        // frame when the link turns out to be free by then.
-        if (batching_.enabled && lane.joinable && lane.protocol == protocol &&
-            c.supports_batch_entries() &&
-            1 + lane.entries < std::max<std::uint32_t>(2, batching_.max_frame_calls)) {
-            ByteWriter w(request_bytes);
-            c.encode_batch_entry(req, lane.ctx, w);
-            coalesce = caller.clock_us() + codec_cost(request_bytes.size()).first <
-                       network_.link_busy_until(src, dst);
-            if (coalesce) entry_ctx = lane.ctx;
-        }
-        if (!coalesce) {
-            ByteWriter w(request_bytes);
-            c.encode_request_into(req, w);
-        }
-        pm.request_bytes->add(request_bytes.size());
-        pm.request_size->record(request_bytes.size());
-        req.sim_wire_bytes += request_bytes.size();
-        caller.advance_clock(codec_cost(request_bytes.size()).first);
+    // Batch join: if the directed link still carries an earlier
+    // same-protocol request frame with room, tentatively encode this call
+    // as a compact continuation entry.  The join must be decided against
+    // the clock *after* the encode charge (the entry's own size sets the
+    // charge), so encode first and fall back to a full frame when the link
+    // turns out to be free by then.
+    if (batching_.enabled && lane.joinable && lane.protocol == protocol &&
+        c.supports_batch_entries() &&
+        1 + lane.entries < std::max<std::uint32_t>(2, batching_.max_frame_calls)) {
+        ByteWriter w(request_bytes);
+        c.encode_batch_entry(req, lane.ctx, w);
+        coalesce = caller.clock_us() + codec_cost(request_bytes.size()).first <
+                   network_.link_busy_until(src, dst);
+        if (coalesce) entry_ctx = lane.ctx;
     }
+    if (!coalesce) {
+        ByteWriter w(request_bytes);
+        c.encode_request_into(req, w);
+    }
+    pm.request_bytes->add(request_bytes.size());
+    pm.request_size->record(request_bytes.size());
+    req.sim_wire_bytes += request_bytes.size();
+    caller.advance_clock(codec_cost(request_bytes.size()).first);
     req.sim_send_us = caller.clock_us();
     if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::RpcSend, req.sim_send_us, src, dst,
-                        req.request_id, request_bytes.size(),
+        journal_.record(Kind::RpcSend, req.sim_send_us, src, dst, rid,
+                        request_bytes.size(),
                         req.stat_class.empty()
                             ? protocol
                             : req.stat_class +
-                                  (req.method.empty() ? "" : "." + req.method));
-    net::Delivery inbound;
-    {
-        obs::ScopedSpan span;
-        if (traced) {
-            span = obs::ScopedSpan(tracer_,
-                                   "net.transfer " + std::to_string(src) + "->" +
-                                       std::to_string(dst),
-                                   src);
-            tracer_.note("bytes", std::to_string(request_bytes.size()));
-        }
-        inbound = coalesce ? network_.transfer_coalesced_at(src, dst,
-                                                            request_bytes.size(),
-                                                            req.sim_send_us)
-                           : network_.transfer_at(src, dst, request_bytes.size(),
-                                                  req.sim_send_us);
-        if (inbound.delivered && coalesce) {
-            if (++lane.entries == 1) batch_frames_->add();
-            batch_coalesced_->add();
-            batch_entry_bytes_->add(request_bytes.size());
-            // The entry rode the open frame's propagation window instead
-            // of paying its own.
-            batch_latency_saved_us_->add(network_.link(src, dst).latency_us);
-            if (traced) tracer_.note("coalesced", "request");
-        } else if (inbound.delivered) {
-            // This full frame now occupies the link; a same-protocol
-            // follower may append to it while it is in flight.
-            lane = BatchLane{protocol, net::BatchContext{src, req.request_id}, 0,
-                             batching_.enabled && c.supports_batch_entries()};
-        } else {
-            // The frame (or the frame this entry joined) died on the
-            // wire; nothing in flight is joinable any more.
-            lane.joinable = false;
-        }
-        if (!inbound.delivered) {
-            pm.drops->add();
-            if (traced) tracer_.note("dropped", "request");
-            if (journal_.enabled())
-                journal_.record(obs::JournalEvent::Kind::RpcDrop, inbound.at_us, src,
-                                dst, req.request_id, 0, "request");
-            // The sender observes the failure once the propagation window
-            // has passed; the decode half of the codec budget is never
-            // spent — the request never reached a parser.
-            caller.reconcile_clock(inbound.at_us);
-            caller.sync_guest_time();
-            throw Dropped{"request lost on link " + std::to_string(src) + "->" +
-                              std::to_string(dst),
-                          /*executed_remotely=*/false};
-        }
+                                  (req.method.empty() ? "" : "." + req.method),
+                        coalesce ? obs::JournalEvent::kCoalesced : 0);
+
+    const net::Delivery inbound =
+        coalesce ? network_.transfer_coalesced_at(src, dst, request_bytes.size(),
+                                                  req.sim_send_us)
+                 : network_.transfer_at(src, dst, request_bytes.size(), req.sim_send_us);
+    if (inbound.delivered && coalesce) {
+        if (++lane.entries == 1) batch_frames_->add();
+        batch_coalesced_->add();
+        batch_entry_bytes_->add(request_bytes.size());
+        // The entry rode the open frame's propagation window instead of
+        // paying its own.
+        batch_latency_saved_us_->add(network_.link(src, dst).latency_us);
+    } else if (inbound.delivered) {
+        // This full frame now occupies the link; a same-protocol follower
+        // may append to it while it is in flight.
+        lane = BatchLane{protocol, net::BatchContext{src, req.request_id}, 0,
+                         batching_.enabled && c.supports_batch_entries()};
+    } else {
+        // The frame (or the frame this entry joined) died on the wire;
+        // nothing in flight is joinable any more.
+        lane.joinable = false;
+    }
+    if (!inbound.delivered) {
+        pm.drops->add();
+        journal_.record(Kind::RpcDrop, inbound.at_us, src, dst, rid, 0, "request");
+        // The sender observes the failure once the propagation window has
+        // passed; the decode half of the codec budget is never spent — the
+        // request never reached a parser.
+        caller.reconcile_clock(inbound.at_us);
+        caller.sync_guest_time();
+        throw Dropped{"request lost on link " + std::to_string(src) + "->" +
+                          std::to_string(dst),
+                      /*executed_remotely=*/false};
     }
     req.sim_arrival_us = inbound.at_us;
     // A request landing on a crashed node dies there — never executed.
@@ -459,99 +433,63 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     plan.notify_restarts(dst, inbound.at_us);
     if (plan.node_down(dst, inbound.at_us)) {
         pm.drops->add();
-        if (traced) tracer_.note("dropped", "dest_crashed");
         note_node_fault(dst, true, inbound.at_us);
-        if (journal_.enabled())
-            journal_.record(obs::JournalEvent::Kind::RpcDrop, inbound.at_us, src,
-                            dst, req.request_id, 0, "dest_crashed");
+        journal_.record(Kind::RpcDrop, inbound.at_us, src, dst, rid, 0, "dest_crashed");
         caller.reconcile_clock(inbound.at_us);
         caller.sync_guest_time();
         throw Dropped{"request reached crashed node " + std::to_string(dst),
                       /*executed_remotely=*/false};
     }
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::RpcArrive, inbound.at_us, dst, src,
-                        req.request_id, request_bytes.size(), {});
+    journal_.record(Kind::RpcArrive, inbound.at_us, dst, src, rid, request_bytes.size(),
+                    protocol);
     // The server cannot see the request before both its own prior work and
     // the wire delivery are done: clock reconciliation, join point one.
     callee.reconcile_clock(inbound.at_us);
-    net::CallRequest decoded;
-    {
-        obs::ScopedSpan span;
-        if (traced)
-            span = obs::ScopedSpan(tracer_, "codec.decode_request " + protocol, dst);
-        decoded = coalesce ? c.decode_batch_entry(request_bytes, entry_ctx)
-                           : c.decode_request(request_bytes);
-        decoded.sim_send_us = req.sim_send_us;
-        decoded.sim_arrival_us = req.sim_arrival_us;
-        callee.advance_clock(codec_cost(request_bytes.size()).second);
-    }
-    net::CallReply reply;
-    {
-        obs::ScopedSpan span;
-        if (traced) {
-            const std::string& what =
-                decoded.kind == net::RequestKind::Invoke ? decoded.method : decoded.cls;
-            span = obs::ScopedSpan::adopt(
-                tracer_, tracer_.begin_remote("rpc.dispatch " + what, dst,
-                                              decoded.trace_id, decoded.parent_span));
-            if (decoded.attempt)
-                tracer_.note("attempt", std::to_string(decoded.attempt));
-        }
-        // Dispatch is charged on the destination node's clock; its guest
-        // code observes the server's own time, not the caller's.
-        callee.sync_guest_time();
-        if (journal_.enabled())
-            journal_.record(
-                obs::JournalEvent::Kind::RpcDispatch, callee.clock_us(), dst, src,
-                decoded.request_id, decoded.attempt,
-                decoded.kind == net::RequestKind::Invoke ? decoded.method
-                                                         : decoded.cls);
-        reply = callee.handle_request(decoded, protocol);
-    }
+    net::CallRequest decoded = coalesce ? c.decode_batch_entry(request_bytes, entry_ctx)
+                                        : c.decode_request(request_bytes);
+    decoded.sim_send_us = req.sim_send_us;
+    decoded.sim_arrival_us = req.sim_arrival_us;
+    callee.advance_clock(codec_cost(request_bytes.size()).second);
+
+    // Dispatch is charged on the destination node's clock; its guest code
+    // observes the server's own time, not the caller's.  The dispatch
+    // event opens the server-side span everything it runs nests under.
+    callee.sync_guest_time();
+    journal_.record(Kind::RpcDispatch, callee.clock_us(), dst, src, rid,
+                    decoded.attempt,
+                    decoded.kind == net::RequestKind::Invoke ? decoded.method : decoded.cls);
+    const net::CallReply reply = callee.handle_request(decoded, protocol);
+    journal_.record(Kind::RpcHandled, callee.clock_us(), dst, src, rid, 0);
 
     support::PooledBuffer reply_frame(buffer_pool_);
     Bytes& reply_bytes = reply_frame.bytes();
     {
-        obs::ScopedSpan span;
-        if (traced)
-            span = obs::ScopedSpan(tracer_, "codec.encode_reply " + protocol, dst);
         ByteWriter w(reply_bytes);
         c.encode_reply_into(reply, w);
-        pm.reply_bytes->add(reply_bytes.size());
-        pm.reply_size->record(reply_bytes.size());
-        req.sim_wire_bytes += reply_bytes.size();
-        callee.advance_clock(codec_cost(reply_bytes.size()).first);
     }
-    net::Delivery outbound;
-    {
-        obs::ScopedSpan span;
-        if (traced) {
-            span = obs::ScopedSpan(tracer_,
-                                   "net.transfer " + std::to_string(dst) + "->" +
-                                       std::to_string(src),
-                                   dst);
-            tracer_.note("bytes", std::to_string(reply_bytes.size()));
-        }
-        outbound = network_.transfer_at(dst, src, reply_bytes.size(), callee.clock_us());
-        // The reply frame is what now occupies the reverse link; a later
-        // request on that link must open its own frame.
-        batch_lanes_[{dst, src}].joinable = false;
-        if (!outbound.delivered) {
-            pm.drops->add();
-            if (traced) tracer_.note("dropped", "reply");
-            if (journal_.enabled())
-                journal_.record(obs::JournalEvent::Kind::RpcDrop, outbound.at_us,
-                                dst, src, req.request_id, 0, "reply");
-            caller.reconcile_clock(outbound.at_us);
-            caller.sync_guest_time();
-            callee.sync_guest_time();
-            // The dispatch above already ran: this is the "executed but
-            // reply lost" arm of at-most-once (DESIGN.md §12).
-            throw Dropped{"reply lost on link " + std::to_string(dst) + "->" +
-                              std::to_string(src),
-                          /*executed_remotely=*/true};
-        }
+    pm.reply_bytes->add(reply_bytes.size());
+    pm.reply_size->record(reply_bytes.size());
+    req.sim_wire_bytes += reply_bytes.size();
+    callee.advance_clock(codec_cost(reply_bytes.size()).first);
+    journal_.record(Kind::RpcReplySend, callee.clock_us(), dst, src, rid,
+                    reply_bytes.size());
+
+    const net::Delivery outbound =
+        network_.transfer_at(dst, src, reply_bytes.size(), callee.clock_us());
+    // The reply frame is what now occupies the reverse link; a later
+    // request on that link must open its own frame.
+    batch_lanes_[{dst, src}].joinable = false;
+    if (!outbound.delivered) {
+        pm.drops->add();
+        journal_.record(Kind::RpcDrop, outbound.at_us, dst, src, rid, 0, "reply");
+        caller.reconcile_clock(outbound.at_us);
+        caller.sync_guest_time();
+        callee.sync_guest_time();
+        // The dispatch above already ran: this is the "executed but reply
+        // lost" arm of at-most-once (DESIGN.md §12).
+        throw Dropped{"reply lost on link " + std::to_string(dst) + "->" +
+                          std::to_string(src),
+                      /*executed_remotely=*/true};
     }
     // Join point two: the caller resumes no earlier than the reply arrival.
     // The server is NOT pulled forward by the reply's flight time — it is
@@ -561,17 +499,10 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     // pipeline closes), which is what lets its next request depart while
     // the link still carries this one.
     caller.reconcile_reply(outbound.at_us);
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::RpcReply, outbound.at_us, src, dst,
-                        req.request_id, reply_bytes.size(), {});
-    net::CallReply decoded_reply;
-    {
-        obs::ScopedSpan span;
-        if (traced)
-            span = obs::ScopedSpan(tracer_, "codec.decode_reply " + protocol, src);
-        decoded_reply = c.decode_reply(reply_bytes);
-        caller.advance_clock(codec_cost(reply_bytes.size()).second);
-    }
+    journal_.record(Kind::RpcReply, outbound.at_us, src, dst, rid, reply_bytes.size());
+    net::CallReply decoded_reply = c.decode_reply(reply_bytes);
+    caller.advance_clock(codec_cost(reply_bytes.size()).second);
+    journal_.record(Kind::RpcReplyDecoded, caller.clock_us(), src, dst, rid, 0);
     if (decoded_reply.is_fault) pm.faults->add();
     caller.sync_guest_time();
     callee.sync_guest_time();
@@ -594,12 +525,12 @@ void System::wire_node(Node& n) {
                 vm::Interpreter& vm, const Value&, std::vector<Value>) mutable {
                 Placement p = policy_.instance_placement(cls, node_id);
                 if (p.node == node_id) return vm.construct(o_local, "()V", {});
-                obs::ScopedSpan span;
-                if (tracer_.enabled())
-                    span = obs::ScopedSpan(tracer_, "rpc.create " + cls, node_id);
                 net::CallRequest req;
                 req.kind = net::RequestKind::Create;
                 req.request_id = next_request_id();
+                const obs::SpanScope span(journal_, &node(node_id).clock_us(), node_id,
+                                          [&] { return "rpc.create " + cls; }, p.node,
+                                          req.request_id);
                 req.src_node = node_id;
                 req.cls = cls;
                 req.stat_class = cls;
@@ -637,12 +568,12 @@ void System::wire_node(Node& n) {
                         note_local_discover(cls, node_id);
                     return node(node_id).local_singleton(cls);
                 }
-                obs::ScopedSpan span;
-                if (tracer_.enabled())
-                    span = obs::ScopedSpan(tracer_, "rpc.discover " + cls, node_id);
                 net::CallRequest req;
                 req.kind = net::RequestKind::Discover;
                 req.request_id = next_request_id();
+                const obs::SpanScope span(journal_, &node(node_id).clock_us(), node_id,
+                                          [&] { return "rpc.discover " + cls; }, p.node,
+                                          req.request_id);
                 req.src_node = node_id;
                 req.cls = cls;
                 req.stat_class = cls;
@@ -686,12 +617,10 @@ void System::wire_node(Node& n) {
                     vm.get_field(receiver.as_ref(), naming::kProxyNodeField).as_int();
                 req.method = m.name;
                 req.desc = m.descriptor();
-                obs::ScopedSpan span;
-                if (tracer_.enabled()) {
-                    span = obs::ScopedSpan(tracer_, "rpc.invoke " + cls + "." + m.name,
-                                           node_id);
-                    tracer_.note("target_node", std::to_string(target_node));
-                }
+                const obs::SpanScope span(
+                    journal_, &self.clock_us(), node_id,
+                    [&] { return "rpc.invoke " + cls + "." + m.name; }, target_node,
+                    req.request_id);
                 // Read-mostly replication (DESIGN.md §19): a node-local
                 // copy of the target serves read-only methods without
                 // touching the wire; anything else aimed at a replicated
@@ -804,12 +733,8 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
     if (!iface)
         throw RuntimeError("can only migrate local implementations, not " + cls_name);
 
-    obs::ScopedSpan span;
-    if (tracer_.enabled()) {
-        span = obs::ScopedSpan(tracer_, "runtime.migrate " + cls_name, from);
-        tracer_.note("from", std::to_string(from));
-        tracer_.note("to", std::to_string(to));
-    }
+    const obs::SpanScope span(journal_, &f.clock_us(), from,
+                              [&] { return "runtime.migrate " + cls_name; });
 
     // Marshal the object state (references become remote references).
     const model::Layout& layout = result_.pool.layout_of(cls_name);
@@ -873,9 +798,8 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
         dir_updates_->add();
         dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
     }
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Migrate, landed.at_us, from, to,
-                        oid, new_oid, cls_name);
+    journal_.record(obs::JournalEvent::Kind::Migrate, landed.at_us, from, to, oid,
+                    new_oid, cls_name);
     f.sync_guest_time();
     t.sync_guest_time();
     log_info("runtime", "migrated ", cls_name, " (", from, ",", oid, ") -> (", to, ",",
@@ -992,11 +916,8 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
         throw RuntimeError("node " + std::to_string(crashed) +
                            " has no durable image to recover from");
 
-    obs::ScopedSpan span;
-    if (tracer_.enabled()) {
-        span = obs::ScopedSpan(tracer_, "runtime.recover_onto", target);
-        tracer_.note("crashed", std::to_string(crashed));
-    }
+    const obs::SpanScope span(journal_, &t.clock_us(), target,
+                              [] { return "runtime.recover_onto"; });
 
     // Decode the durable image offline — the crashed node itself is not
     // touched (it is down; its own in-memory state is dead anyway).
@@ -1160,9 +1081,8 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
         dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
     }
     if (wal_relocated_) wal_relocated_->add(relocated);
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Recover, landed.at_us, crashed,
-                        target, img.objects.size(), image_bytes, {});
+    journal_.record(obs::JournalEvent::Kind::Recover, landed.at_us, crashed, target,
+                    img.objects.size(), image_bytes);
     for (const auto& n : nodes_) n->sync_guest_time();
     log_info("runtime", "recovered node ", crashed, " onto ", target, ": ",
              img.objects.size(), " objects (", relocated, " relocated, ",
@@ -1263,9 +1183,8 @@ void System::refresh_replica(const std::string& cls, net::NodeId primary,
                                   reader.import_value(msg.args[k], proto));
     r.valid = true;
     adapt_replica_refreshes_->add();
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Adapt, landed.at_us, primary,
-                        r.node, 4, payload.size(), cls);
+    journal_.record(obs::JournalEvent::Kind::Adapt, landed.at_us, primary, r.node, 4,
+                    payload.size(), cls);
 }
 
 void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
@@ -1302,9 +1221,8 @@ void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
         last_t = d.at_us;
     }
     adapt_invalidations_->add(flipped.size());
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Adapt, last_t, primary, -1, 3,
-                        flipped.size(), cls);
+    journal_.record(obs::JournalEvent::Kind::Adapt, last_t, primary, -1, 3,
+                    flipped.size(), cls);
 }
 
 void System::note_local_discover(const std::string& cls, net::NodeId node_id) {
@@ -1568,7 +1486,6 @@ std::uint64_t System::migrations() const noexcept {
 
 void System::reset_stats() {
     metrics_.reset();
-    tracer_.clear();
     network_.reset_stats();
     // The journal's observation window must rebase together with the
     // utilization epoch: both now describe "since the reset", so timeline

@@ -21,7 +21,6 @@
 #include "net/network.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "runtime/adapt.hpp"
 #include "runtime/directory.hpp"
 #include "runtime/node.hpp"
@@ -109,15 +108,12 @@ public:
     obs::Registry& metrics() noexcept { return metrics_; }
     const obs::Registry& metrics() const noexcept { return metrics_; }
 
-    /// Span tracer for cross-node RPC traces.  Disabled by default; enable
-    /// with `tracer().set_enabled(true)` before driving traffic.
-    obs::Tracer& tracer() noexcept { return tracer_; }
-    const obs::Tracer& tracer() const noexcept { return tracer_; }
-
-    /// Flight recorder (DESIGN.md §16): a bounded ring of virtual-time-
-    /// stamped events covering the RPC lifecycle, retries, breaker
-    /// transitions, fault-window edges, dedup hits and migrations.
-    /// Disabled by default; enable with `journal().set_enabled(true)`.
+    /// The one recorder (DESIGN.md §16): a bounded ring of virtual-time-
+    /// stamped events covering the RPC lifecycle stage by stage, explicit
+    /// spans (invoke, dispatch, execute, migrate, ...), retries, breaker
+    /// transitions, fault-window edges, dedup hits and migrations.  Span
+    /// trees are a view of it (obs/spans.hpp).  Disabled by default; enable
+    /// with `journal().set_enabled(true)` before driving traffic.
     /// Recording is passive — enabling it cannot perturb a seeded run.
     obs::Journal& journal() noexcept { return journal_; }
     const obs::Journal& journal() const noexcept { return journal_; }
@@ -315,11 +311,11 @@ public:
     /// and returns the reply, retrying per `reliability()` — deadline in
     /// virtual time, exponential backoff with seeded jitter, retry budget,
     /// circuit breaker — with the request id as the idempotency key for
-    /// the callee's reply cache.  Stamps the tracer's current trace/span
-    /// into `req`'s wire header so the remote dispatch span parents
-    /// correctly.  Throws Dropped once the policy gives up (with the
-    /// default policy that is on the first loss, exactly the legacy
-    /// at-most-once behaviour).
+    /// the callee's reply cache.  With the journal on, every stage boundary
+    /// records one event and the remote dispatch nests under whatever
+    /// span is open on the caller's side.  Throws Dropped once the policy
+    /// gives up (with the default policy that is on the first loss,
+    /// exactly the legacy at-most-once behaviour).
     net::CallReply rpc(net::NodeId src, net::NodeId dst, const std::string& protocol,
                        net::CallRequest& req);
 
@@ -427,11 +423,10 @@ private:
     void note_local_discover(const std::string& cls, net::NodeId node_id);
     void ensure_replica_counters();
 
-    // The registry, tracer and journal are declared first so they outlive
+    // The registry and journal are declared first so they outlive
     // the nodes (interpreter destructors deregister their probes) and the
     // network (which holds cached counter and journal handles).
     obs::Registry metrics_;
-    obs::Tracer tracer_;
     obs::Journal journal_;
     const model::ClassPool* original_;
     model::ClassPool prepared_;  // original + prelude + RemoteFault

@@ -109,4 +109,6 @@ std::string ByteReader::str() {
     return s;
 }
 
+void ByteReader::throw_count_error() { throw CodecError("element count exceeds message"); }
+
 }  // namespace rafda

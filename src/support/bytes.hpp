@@ -72,12 +72,21 @@ public:
     std::int64_t i64();
     double f64();
     std::string str();
+    /// A u32 element count, checked against the bytes left: every element
+    /// takes at least one byte, so a larger count is corrupt and throws
+    /// CodecError before anyone reserves room for it.
+    std::uint32_t count() {
+        const std::uint32_t n = u32();
+        if (n > remaining()) throw_count_error();
+        return n;
+    }
 
     bool at_end() const noexcept { return pos_ == data_->size(); }
     std::size_t remaining() const noexcept { return data_->size() - pos_; }
 
 private:
     void need(std::size_t n) const;
+    [[noreturn]] static void throw_count_error();
 
     const Bytes* data_;
     std::size_t pos_ = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "corpus/program_gen.hpp"
 #include "model/assembler.hpp"
 #include "model/printer.hpp"
@@ -102,6 +104,22 @@ TEST(BinIo, RejectsTrailingBytes) {
     ClassPool pool;
     Bytes data = save_pool(pool);
     data.push_back(0);
+    EXPECT_THROW(load_pool(data), CodecError);
+}
+
+TEST(BinIo, InstructionCountBeyondDataIsCodecError) {
+    // Regression: a corrupt instruction count used to reach reserve() and
+    // escape as std::bad_alloc; it must be rejected as a CodecError first.
+    ClassPool pool;
+    assemble_into(pool, "class A {\n method zz ()V {\n return\n }\n}\n");
+    Bytes data = save_pool(pool);
+    // name "zz", descriptor "()V", flags, visibility, max_locals, count.
+    const Bytes head{2, 0, 0, 0, 'z', 'z', 3, 0, 0, 0, '(', ')', 'V'};
+    const auto at = std::search(data.begin(), data.end(), head.begin(), head.end());
+    ASSERT_NE(at, data.end());
+    const auto count = at + static_cast<std::ptrdiff_t>(head.size() + 1 + 1 + 4);
+    ASSERT_EQ(*count, 1u);  // the single `return`
+    std::fill(count, count + 4, std::uint8_t{0xFF});
     EXPECT_THROW(load_pool(data), CodecError);
 }
 

@@ -169,6 +169,36 @@ TEST_P(BothCodecs, OnlyRmibSupportsBatchEntries) {
 INSTANTIATE_TEST_SUITE_P(Protocols, BothCodecs,
                          ::testing::Values("RMI", "SOAP", "CORBA"));
 
+/// A zero-argument Create frame with the u32 `back` bytes from its end
+/// overwritten by 0xFFFFFFFF — a count no frame of this size can hold.
+Bytes with_huge_u32_at_back(const Codec& codec, std::size_t back) {
+    CallRequest req;
+    req.kind = RequestKind::Create;
+    req.request_id = 1;
+    Bytes frame = codec.encode_request(req);
+    for (std::size_t k = frame.size() - back; k < frame.size() - back + 4; ++k)
+        frame[k] = 0xFF;
+    return frame;
+}
+
+// Regression: a corrupt count used to reach reserve() and escape as
+// std::bad_alloc; it must be rejected as a CodecError first.
+TEST(Codecs, RmibArgCountBeyondFrameIsCodecError) {
+    const auto codec = make_codec("RMI");
+    EXPECT_THROW(codec->decode_request(with_huge_u32_at_back(*codec, 4)), CodecError);
+}
+
+TEST(Codecs, CorbxArgCountBeyondFrameIsCodecError) {
+    const auto codec = make_codec("CORBA");
+    EXPECT_THROW(codec->decode_request(with_huge_u32_at_back(*codec, 4)), CodecError);
+}
+
+TEST(Codecs, CorbxStringLengthBeyondFrameIsCodecError) {
+    // The empty desc string's length word sits just before the arg count.
+    const auto codec = make_codec("CORBA");
+    EXPECT_THROW(codec->decode_request(with_huge_u32_at_back(*codec, 8)), CodecError);
+}
+
 TEST(Codecs, LegacyRmibBytesDecodeWithZeroReliabilityDefaults) {
     // A frame hand-assembled in the original 0xA1 layout (no extension
     // words) must decode on the current decoder with attempt/deadline 0.

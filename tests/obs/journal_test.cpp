@@ -148,6 +148,29 @@ TEST(Journal, KindNamesAreStable) {
     EXPECT_STREQ(journal_kind_name(Kind::Breaker), "breaker");
     EXPECT_STREQ(journal_kind_name(Kind::FaultEdge), "fault");
     EXPECT_STREQ(journal_kind_name(Kind::Migrate), "migrate");
+    EXPECT_STREQ(journal_kind_name(Kind::RpcHandled), "handled");
+    EXPECT_STREQ(journal_kind_name(Kind::RpcReplySend), "reply_send");
+    EXPECT_STREQ(journal_kind_name(Kind::RpcReplyDecoded), "reply_decoded");
+    EXPECT_STREQ(journal_kind_name(Kind::SpanBegin), "span_begin");
+    EXPECT_STREQ(journal_kind_name(Kind::SpanEnd), "span_end");
+}
+
+TEST(Journal, EventsCarryTheOpenSpanAndSendFlags) {
+    Journal j;
+    j.set_enabled(true);
+    const std::uint64_t span = j.begin_span(5, 0, "rpc.invoke C.poke", 1, 7);
+    j.record(Kind::RpcSend, 6, 0, 1, 7, 40, "C.poke", JournalEvent::kCoalesced);
+    j.end_span(span, 9);
+
+    std::vector<JournalEvent> events = collect(j);
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0].span, 0u);  // a root: nothing open around it
+    EXPECT_EQ(events[1].span, span);
+    EXPECT_EQ(events[2].kind, Kind::SpanEnd);
+    EXPECT_EQ(events[2].a, span);
+    EXPECT_EQ(events[2].span, 0u);
+    const std::string json = j.to_json();
+    EXPECT_NE(json.find("\"span\":1,\"coalesced\":1"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Tracer integrity under the concurrent WorkloadDriver with retries
-// (satellite of DESIGN.md §16): interleaved clients must never corrupt
-// span parentage — every trace has exactly one root, every parent edge
-// stays inside its own trace, retried attempts nest under the original
-// invoke, and no trace mixes two clients' work.
+// Span integrity under the concurrent WorkloadDriver with retries
+// (DESIGN.md §16): interleaved clients must never corrupt the parentage
+// of the journal's span view — every trace has exactly one root, every
+// parent edge stays inside its own trace, retried attempts nest under the
+// original invoke, and no trace mixes two clients' work.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,7 +13,7 @@
 
 #include "model/assembler.hpp"
 #include "model/verifier.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/system.hpp"
 #include "vm/prelude.hpp"
@@ -88,7 +88,7 @@ struct TraceHarness {
         }
         make_lossy(std::max(system->node(1).clock_us(),
                             system->node(2).clock_us()));
-        system->tracer().set_enabled(true);
+        system->journal().set_enabled(true);
         return driver.run();
     }
 };
@@ -100,9 +100,10 @@ TEST(DriverTrace, SpanParentageSurvivesConcurrencyAndRetries) {
     ASSERT_EQ(report.tasks_run, 48u);
     EXPECT_EQ(report.faults, 0u);
     ASSERT_GT(report.recovered, 0u) << "workload produced no retries";
-    EXPECT_EQ(system->tracer().current_span(), 0u);  // everything closed
+    EXPECT_EQ(system->journal().current_span(), 0u);  // everything closed
+    ASSERT_EQ(system->journal().overwritten(), 0u);  // the whole run is held
 
-    const std::vector<Span>& spans = system->tracer().spans();
+    const std::vector<Span> spans = obs::spans_of(system->journal());
     std::map<std::uint64_t, const Span*> by_id;
     for (const Span& s : spans) by_id[s.id] = &s;
 
@@ -168,7 +169,7 @@ TEST(DriverTrace, TraceStreamIsDeterministic) {
         TraceHarness h;
         h.run_clients(12);
         std::vector<std::tuple<std::string, std::int32_t, std::uint64_t>> out;
-        for (const Span& s : h.system->tracer().spans())
+        for (const Span& s : obs::spans_of(h.system->journal()))
             out.emplace_back(s.name, s.node, s.start_us);
         return out;
     };

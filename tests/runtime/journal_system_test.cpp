@@ -2,13 +2,15 @@
 // RPC lifecycle lands in the journal in causal order, loss/retry/dedup/
 // breaker/fault/migration events carry their documented payloads, the
 // observation window rebases together with the utilization epoch on
-// reset_stats(), and — the passivity contract — enabling the journal
-// changes no virtual-time result.
+// reset_stats(), and — the passivity contract — enabling the journal,
+// spans included, changes no virtual-time result and no wire byte on any
+// protocol.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "model/assembler.hpp"
@@ -97,12 +99,19 @@ TEST_F(JournalSystemFixture, HappyPathLifecycleInCausalOrder) {
     system->journal().set_enabled(true);
     system->node(0).interp().call_virtual(svc, "work", "(I)I", {Value::of_int(21)});
 
-    std::vector<JournalEvent> ev = events();
-    ASSERT_EQ(ev.size(), 4u);
+    // One event per stage boundary; the span markers around them (the
+    // invoke and the server's vm.execute) are the span view's business.
+    std::vector<JournalEvent> ev;
+    for (const JournalEvent& e : events())
+        if (e.kind != Kind::SpanBegin && e.kind != Kind::SpanEnd) ev.push_back(e);
+    ASSERT_EQ(ev.size(), 7u);
     EXPECT_EQ(ev[0].kind, Kind::RpcSend);
     EXPECT_EQ(ev[1].kind, Kind::RpcArrive);
     EXPECT_EQ(ev[2].kind, Kind::RpcDispatch);
-    EXPECT_EQ(ev[3].kind, Kind::RpcReply);
+    EXPECT_EQ(ev[3].kind, Kind::RpcHandled);
+    EXPECT_EQ(ev[4].kind, Kind::RpcReplySend);
+    EXPECT_EQ(ev[5].kind, Kind::RpcReply);
+    EXPECT_EQ(ev[6].kind, Kind::RpcReplyDecoded);
 
     // Documented payloads: node/peer orientation, shared request id, byte
     // counts, and the class.method detail on the send.
@@ -115,15 +124,16 @@ TEST_F(JournalSystemFixture, HappyPathLifecycleInCausalOrder) {
     EXPECT_EQ(ev[1].b, ev[0].b);
     EXPECT_EQ(ev[2].node, 1);
     EXPECT_EQ(ev[2].detail, "work");
-    EXPECT_EQ(ev[3].node, 0);
-    EXPECT_EQ(ev[3].peer, 1);
-    EXPECT_GT(ev[3].b, 0u);  // reply bytes
+    EXPECT_EQ(ev[5].node, 0);
+    EXPECT_EQ(ev[5].peer, 1);
+    EXPECT_GT(ev[5].b, 0u);  // reply bytes
+    EXPECT_EQ(ev[4].b, ev[5].b);
     for (const JournalEvent& e : ev) EXPECT_EQ(e.a, ev[0].a) << "request id";
 
-    // Virtual-time causality: send <= arrive <= dispatch <= reply.
-    EXPECT_LE(ev[0].t_us, ev[1].t_us);
-    EXPECT_LE(ev[1].t_us, ev[2].t_us);
-    EXPECT_LE(ev[2].t_us, ev[3].t_us);
+    // Virtual-time causality: send <= arrive <= dispatch <= handled <=
+    // reply_send <= reply <= reply_decoded.
+    for (std::size_t k = 1; k < ev.size(); ++k)
+        EXPECT_LE(ev[k - 1].t_us, ev[k].t_us) << journal_kind_name(ev[k].kind);
 }
 
 TEST_F(JournalSystemFixture, LossRetryAndLinkFaultEdges) {
@@ -311,8 +321,13 @@ TEST_F(JournalSystemFixture, TrafficMatrixCountsBytesAndLatencyHistograms) {
     EXPECT_LE(lat->quantile(0.5), lat->quantile(0.99));
 }
 
-/// Lossy two-client workload; returns (makespan, total wire bytes).
-std::pair<std::uint64_t, std::uint64_t> run_lossy(bool journal_on) {
+/// What a run's virtual-time outcome is judged by: makespan, total wire
+/// bytes, and every node's final clock.
+using RunOutcome =
+    std::tuple<std::uint64_t, std::uint64_t, std::vector<std::uint64_t>>;
+
+/// Lossy two-client workload over `protocol`.
+RunOutcome run_lossy(bool journal_on, const std::string& protocol) {
     model::ClassPool pool;
     vm::install_prelude(pool);
     model::assemble_into(pool, kApp);
@@ -322,11 +337,12 @@ std::pair<std::uint64_t, std::uint64_t> run_lossy(bool journal_on) {
     options.reliability.attempts = 8;
     options.reliability.backoff_base_us = 200;
     options.reliability.dedup = true;
+    options.pipeline.generator.protocols = {"RMI", "SOAP", "CORBA"};
     System system(pool, options);
     system.add_node();  // 0: server
     system.add_node();
     system.add_node();
-    system.policy().set_instance_home("Service", 0, "RMI");
+    system.policy().set_instance_home("Service", 0, protocol);
     for (net::NodeId client : {net::NodeId{1}, net::NodeId{2}}) {
         for (net::NodeId dst : {net::NodeId{0}, client}) {
             net::FaultWindow w;
@@ -350,14 +366,25 @@ std::pair<std::uint64_t, std::uint64_t> run_lossy(bool journal_on) {
         });
     }
     WorkloadDriver::Report report = driver.run();
-    return {report.makespan_us, system.network().total_stats().bytes};
+    std::vector<std::uint64_t> clocks;
+    for (net::NodeId n = 0; n < 3; ++n) clocks.push_back(system.node(n).clock_us());
+    return {report.makespan_us, system.network().total_stats().bytes, clocks};
 }
 
 TEST(JournalPassivity, EnablingTheJournalChangesNoVirtualTimeResult) {
-    // The E11 contract as a unit test: recording never reads clocks and
-    // never draws randomness, so a seeded lossy run is bit-identical with
-    // the journal on or off.
-    EXPECT_EQ(run_lossy(false), run_lossy(true));
+    // The E11 contract as a unit test, on every protocol: recording —
+    // spans included — never reads clocks, never draws randomness and
+    // never touches a frame, so a seeded lossy run is bit-identical with
+    // the journal on or off.  SOAP is the sharp case: its header is
+    // decimal text, so any trace id stamped into a request would change
+    // the frame length.
+    for (const std::string protocol : {"RMI", "CORBA", "SOAP"}) {
+        SCOPED_TRACE(protocol);
+        const RunOutcome off = run_lossy(false, protocol);
+        const RunOutcome on = run_lossy(true, protocol);
+        EXPECT_GT(std::get<1>(off), 0u);
+        EXPECT_EQ(off, on);
+    }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// End-to-end observability: one logical RPC shows up as the documented
-// span tree, forwarding chains nest under the dispatch that caused them,
+// End-to-end observability: one logical RPC shows up in the journal's span
+// view as the documented span tree, forwarding chains nest under the
+// dispatch that caused them,
 // and the registry is the single source the stats views and the advisor
 // read from.
 #include <gtest/gtest.h>
@@ -12,7 +13,7 @@
 #include "model/assembler.hpp"
 #include "model/verifier.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "runtime/advisor.hpp"
 #include "runtime/system.hpp"
 #include "vm/prelude.hpp"
@@ -46,6 +47,7 @@ class C {
 struct ObservabilityFixture : ::testing::Test {
     model::ClassPool original;
     std::unique_ptr<System> system;
+    std::vector<Span> recorded;  // the span view, refreshed by collect()
 
     void SetUp() override {
         vm::install_prelude(original);
@@ -57,20 +59,23 @@ struct ObservabilityFixture : ::testing::Test {
         system->add_node();
     }
 
-    /// The unique span matching `name` (and `node` unless -2); registers a
-    /// test failure and returns an empty span when missing, so callers can
-    /// keep dereferencing.
+    /// Reads the journal back as spans.
+    void collect() { recorded = obs::spans_of(system->journal()); }
+
+    /// The unique collected span matching `name` (and `node` unless -2);
+    /// registers a test failure and returns an empty span when missing, so
+    /// callers can keep dereferencing.
     const Span* span(const std::string& name, std::int32_t node = -2) const {
         static const Span missing{};
         const Span* found = nullptr;
-        for (const Span& s : system->tracer().spans())
+        for (const Span& s : recorded)
             if (s.name == name && (node == -2 || s.node == node)) {
                 EXPECT_EQ(found, nullptr) << "duplicate span " << name;
                 found = &s;
             }
         if (!found) {
             ADD_FAILURE() << "missing span " << name << " (node " << node << ")\n"
-                          << system->tracer().render_tree();
+                          << obs::render_tree(recorded);
             return &missing;
         }
         return found;
@@ -78,7 +83,7 @@ struct ObservabilityFixture : ::testing::Test {
 
     bool is_ancestor(const Span* ancestor, const Span* descendant) const {
         std::map<std::uint64_t, const Span*> by_id;
-        for (const Span& s : system->tracer().spans()) by_id[s.id] = &s;
+        for (const Span& s : recorded) by_id[s.id] = &s;
         for (std::uint64_t p = descendant->parent; p != 0;) {
             auto it = by_id.find(p);
             if (it == by_id.end()) return false;
@@ -92,11 +97,12 @@ struct ObservabilityFixture : ::testing::Test {
 TEST_F(ObservabilityFixture, RemoteCallProducesDocumentedSpanTree) {
     system->policy().set_instance_home("C", 1, "RMI");
     Value c = system->construct(0, "C", "()V");
-    system->tracer().set_enabled(true);
+    system->journal().set_enabled(true);
 
     EXPECT_EQ(system->node(0).interp().call_virtual(c, "poke", "()I").as_int(), 1);
-    ASSERT_EQ(system->tracer().spans().size(), 9u);
-    EXPECT_EQ(system->tracer().current_span(), 0u);  // everything closed
+    collect();
+    ASSERT_EQ(recorded.size(), 9u);
+    EXPECT_EQ(system->journal().current_span(), 0u);  // everything closed
 
     const Span* invoke = span("rpc.invoke C.poke", 0);
     const Span* encode_req = span("codec.encode_request RMI", 0);
@@ -109,7 +115,8 @@ TEST_F(ObservabilityFixture, RemoteCallProducesDocumentedSpanTree) {
     const Span* decode_rep = span("codec.decode_reply RMI", 0);
 
     // One trace; everything hangs off the client-side invoke.  The
-    // dispatch parent travelled in the wire header (decoded, not stack).
+    // dispatch takes its parent from the journal's open-span stack: the
+    // host-side call is synchronous, so that is the caller's invoke.
     for (const Span* s : {encode_req, xfer_out, decode_req, dispatch, encode_rep,
                           xfer_back, decode_rep}) {
         EXPECT_EQ(s->parent, invoke->id) << s->name;
@@ -119,9 +126,11 @@ TEST_F(ObservabilityFixture, RemoteCallProducesDocumentedSpanTree) {
     EXPECT_EQ(execute->parent, dispatch->id);
     EXPECT_EQ(execute->trace, invoke->trace);
 
-    // The transfers carry byte counts and advance virtual time.
-    ASSERT_FALSE(xfer_out->notes.empty());
-    EXPECT_EQ(xfer_out->notes[0].first, "bytes");
+    // The transfers carry byte counts (on their send event) and advance
+    // virtual time.
+    ASSERT_FALSE(xfer_out->events.empty());
+    EXPECT_EQ(xfer_out->events[0].kind, obs::JournalEvent::Kind::RpcSend);
+    EXPECT_GT(xfer_out->events[0].b, 0u);
     EXPECT_GT(xfer_out->duration_us(), 0u);
     EXPECT_GE(invoke->duration_us(),
               xfer_out->duration_us() + xfer_back->duration_us());
@@ -131,9 +140,10 @@ TEST_F(ObservabilityFixture, ForwardingChainNestsUnderRemoteDispatch) {
     Value c = system->construct(0, "C", "()V");
     vm::ObjId on1 = system->migrate_instance(0, c.as_ref(), 1, "RMI");
     system->migrate_instance(1, on1, 2, "RMI");  // chain: 0 -> 1 -> 2
-    system->tracer().set_enabled(true);
+    system->journal().set_enabled(true);
 
     EXPECT_EQ(system->node(0).interp().call_virtual(c, "poke", "()I").as_int(), 1);
+    collect();
 
     // The hop through node 1 re-enters the proxy dispatcher inside the
     // server-side vm.execute, so a second invoke nests under the first
@@ -157,17 +167,21 @@ TEST_F(ObservabilityFixture, ForwardingChainNestsUnderRemoteDispatch) {
 
 TEST_F(ObservabilityFixture, MigrationEmitsSpanAndCounters) {
     Value c = system->construct(0, "C", "()V");
-    system->tracer().set_enabled(true);
+    system->journal().set_enabled(true);
 
     system->migrate_instance(0, c.as_ref(), 1, "RMI");
+    collect();
 
     // The span names the concrete heap class being transmuted, which is
-    // the transformed local implementation.
+    // the transformed local implementation; its migrate event says from
+    // where to where.
     const Span* migrate = span("runtime.migrate C_O_Local", 0);
-    std::map<std::string, std::string> notes(migrate->notes.begin(),
-                                             migrate->notes.end());
-    EXPECT_EQ(notes["from"], "0");
-    EXPECT_EQ(notes["to"], "1");
+    const obs::JournalEvent* moved = nullptr;
+    for (const obs::JournalEvent& e : migrate->events)
+        if (e.kind == obs::JournalEvent::Kind::Migrate) moved = &e;
+    ASSERT_NE(moved, nullptr);
+    EXPECT_EQ(moved->node, 0);  // from
+    EXPECT_EQ(moved->peer, 1);  // to
 
     EXPECT_EQ(system->migrations(), 1u);
     obs::Snapshot snap = system->metrics().snapshot();
@@ -298,7 +312,7 @@ TEST_F(ObservabilityFixture, TracingOffRecordsNothing) {
     system->policy().set_instance_home("C", 1, "RMI");
     Value c = system->construct(0, "C", "()V");
     system->node(0).interp().call_virtual(c, "poke", "()I");
-    EXPECT_TRUE(system->tracer().spans().empty());
+    EXPECT_TRUE(obs::spans_of(system->journal()).empty());
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ case " $presets " in
                  bench_journal bench_batching bench_adaptive \
                  bench_durability; do
         echo "== perf smoke: $bench =="
-        "build/bench/$bench" --benchmark_min_time=0.05s ||
+        "build/bench/$bench" --benchmark_min_time=0.05 ||
             echo "WARN: $bench failed (non-gating)"
     done
 
@@ -49,7 +49,7 @@ case " $presets " in
     # sidecar it writes is uploaded with the other BENCH artifacts.
     echo "== perf smoke: bench_scale (10k clients) =="
     RAFDA_SCALE_CLIENTS=10000 \
-        build/bench/bench_scale --benchmark_min_time=0.01s ||
+        build/bench/bench_scale --benchmark_min_time=0.01 ||
         echo "WARN: bench_scale failed (non-gating)"
 
     # Differential guard (gating): the legacy driver workloads must be a
@@ -63,12 +63,12 @@ case " $presets " in
     trap 'rm -rf "$det_dir"' EXIT INT TERM
     cp BENCH_E5.json BENCH_E9.json BENCH_E10.json BENCH_E12.json \
        BENCH_E14.json BENCH_E15.json "$det_dir"/
-    build/bench/bench_dispatch_matrix --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_concurrency --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_reliability --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_batching --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_adaptive --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_durability --benchmark_min_time=0.05s >/dev/null
+    build/bench/bench_dispatch_matrix --benchmark_min_time=0.05 >/dev/null
+    build/bench/bench_concurrency --benchmark_min_time=0.05 >/dev/null
+    build/bench/bench_reliability --benchmark_min_time=0.05 >/dev/null
+    build/bench/bench_batching --benchmark_min_time=0.05 >/dev/null
+    build/bench/bench_adaptive --benchmark_min_time=0.05 >/dev/null
+    build/bench/bench_durability --benchmark_min_time=0.05 >/dev/null
     for id in E5 E9 E10 E12 E14 E15; do
         cmp "BENCH_$id.json" "$det_dir/BENCH_$id.json"
     done

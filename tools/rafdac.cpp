@@ -13,13 +13,13 @@
 //                                         deploy, run, then dump the full
 //                                         metrics registry (table or JSON)
 //   rafdac trace     app.rir policy.cfg Main [nodes] [--json]
-//                                         deploy, run with span tracing on,
-//                                         then print the RPC span trees
+//                                         deploy, run with the journal on,
+//                                         then print its RPC span trees
 //   rafdac trace     ... --chrome out.json
-//                                         additionally write the spans +
-//                                         journal events as Chrome
-//                                         trace-event JSON (loadable in
-//                                         Perfetto / chrome://tracing)
+//                                         additionally write the journal
+//                                         as Chrome trace-event JSON
+//                                         (loadable in Perfetto /
+//                                         chrome://tracing)
 //   rafdac journal   app.rir policy.cfg Main [nodes] [--json]
 //                                         deploy, run with the flight
 //                                         recorder on, then print the
@@ -63,6 +63,7 @@
 #include "model/verifier.hpp"
 #include "obs/chrome.hpp"
 #include "obs/export.hpp"
+#include "obs/spans.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/policy_config.hpp"
 #include "runtime/system.hpp"
@@ -192,7 +193,7 @@ enum class ObserveMode { Stats, Trace, Journal };
 /// Shared driver for `stats`, `trace` and `journal`: deploy, run the entry
 /// point, then report from the observability layer instead of the
 /// application.  A non-empty `chrome_path` (trace mode) additionally
-/// writes the spans + journal events as Chrome trace-event JSON.
+/// writes the journal (spans + events) as Chrome trace-event JSON.
 /// Table row cap for `stats` (and link cap for `net`) unless --all: at
 /// hundreds of nodes the registry holds thousands of per-link samples,
 /// and the table is for eyes, not pipelines (use --json for those).
@@ -205,25 +206,24 @@ int cmd_observe(const std::string& input, const std::string& config_path,
     model::ClassPool pool = load_input(input);
     runtime::System system(pool);
     configure_system(system, config_path, nodes);
-    if (mode == ObserveMode::Trace) system.tracer().set_enabled(true);
-    // The journal feeds both the `journal` report and the Chrome export's
-    // instant events (fault edges, drops, retries on the timeline).
-    if (mode == ObserveMode::Journal || !chrome_path.empty())
-        system.journal().set_enabled(true);
+    // The journal feeds the `journal` report, the span trees and the
+    // Chrome export alike.
+    if (mode != ObserveMode::Stats) system.journal().set_enabled(true);
     system.enable_method_profiling(true);
     system.call_static(0, main_cls, "main", "()V");
     std::cerr << system.node(0).interp().output();
     if (!chrome_path.empty()) {
         std::ofstream out(chrome_path, std::ios::binary);
         if (!out) throw Error("cannot write " + chrome_path);
-        out << obs::chrome_trace_json(system.tracer(), system.journal()) << "\n";
+        out << obs::chrome_trace_json(system.journal()) << "\n";
         std::cerr << "[rafdac] wrote Chrome trace to " << chrome_path << "\n";
     }
     switch (mode) {
-        case ObserveMode::Trace:
-            std::cout << (json ? system.tracer().to_json() + "\n"
-                               : system.tracer().render_tree());
+        case ObserveMode::Trace: {
+            const std::vector<obs::Span> spans = obs::spans_of(system.journal());
+            std::cout << (json ? obs::spans_json(spans) + "\n" : obs::render_tree(spans));
             break;
+        }
         case ObserveMode::Stats:
             std::cout << (json ? obs::to_json(system.metrics().snapshot()) + "\n"
                                : obs::to_table(system.metrics().snapshot(),
@@ -239,13 +239,13 @@ int cmd_observe(const std::string& input, const std::string& config_path,
                       << j.total_recorded() << " recorded, " << j.overwritten()
                       << " overwritten), epoch " << j.epoch_us() << "us\n"
                       << std::left << std::setw(8) << "seq" << std::setw(10)
-                      << "t_us" << std::setw(10) << "kind" << std::right
+                      << "t_us" << std::setw(14) << "kind" << std::right
                       << std::setw(6) << "node" << std::setw(6) << "peer"
                       << std::setw(12) << "a" << std::setw(12) << "b"
                       << "  detail\n";
             j.visit([&](const obs::JournalEvent& e) {
                 std::cout << std::left << std::setw(8) << e.seq << std::setw(10)
-                          << e.t_us << std::setw(10) << obs::journal_kind_name(e.kind)
+                          << e.t_us << std::setw(14) << obs::journal_kind_name(e.kind)
                           << std::right << std::setw(6) << e.node << std::setw(6)
                           << e.peer << std::setw(12) << e.a << std::setw(12) << e.b
                           << "  " << e.detail << "\n";
