@@ -2,85 +2,68 @@
 // "the resulting distributed program can adapt to its environment by
 // dynamically altering its distribution boundaries"; Sec 4 future work).
 //
-// A Worker chats with a Source whose node changes over time (the
-// environment).  Three strategies over identical workloads:
+// A Worker chats with a Source (six samples per process() call), and the
+// environment moves the Worker between nodes every two phases.  Both are
+// singletons: the environment moves the Worker with migrate_singleton, so
+// discover() follows it and no forwarding chain builds up.  Three
+// strategies over identical workloads:
 //
-//   pinned-0   — worker stays on node 0 (never adapts)
-//   pinned-1   — worker stays on node 1
-//   adaptive   — a greedy controller migrates the worker next to the
-//                source whenever a phase cost exceeds the previous one
+//   pinned-0   — the Source stays on node 0 (never adapts)
+//   pinned-1   — the Source stays on node 1
+//   adaptive   — the Source starts on node 0 and the AdaptationEngine,
+//                ticked after every process() call (the tick gates itself
+//                on the policy interval), moves it toward its callers
 //
 // The table prints per-phase virtual time per strategy; adaptive should
-// track the cheaper placement after each environment change, at the price
-// of one migration per change.
+// track the cheaper placement within each phase that follows an
+// environment change, at the price of one migration per change.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "runtime/adapter.hpp"
 #include "runtime/system.hpp"
-#include "vm/interp.hpp"
 
 namespace {
 
 using namespace rafda;
-using vm::Value;
 
 constexpr const char* kApp = R"RIR(
 class Source {
-  field reading I
-  ctor ()V {
-    return
-  }
-  method sample ()I {
-    load 0
-    load 0
-    getfield Source.reading I
+  static field reading I
+  static method sample ()I {
+    getstatic Source.reading I
     const 3
     add
-    putfield Source.reading I
-    load 0
-    getfield Source.reading I
+    dup
+    putstatic Source.reading I
     returnvalue
   }
 }
 class Worker {
-  field src LSource;
-  field total J
-  ctor (LSource;)V {
-    load 0
-    load 1
-    putfield Worker.src LSource;
-    return
-  }
-  method process ()J {
-    locals 2
+  static field total J
+  static method process ()J {
+    locals 1
     const 0
-    store 1
+    store 0
   Top:
-    load 1
+    load 0
     const 6
     cmpge
     iftrue Done
-    load 0
-    load 0
-    getfield Worker.total J
-    load 0
-    getfield Worker.src LSource;
-    invokevirtual Source.sample ()I
+    getstatic Worker.total J
+    invokestatic Source.sample ()I
     conv J
     add
-    putfield Worker.total J
-    load 1
+    putstatic Worker.total J
+    load 0
     const 1
     add
-    store 1
+    store 0
     goto Top
   Done:
-    load 0
-    getfield Worker.total J
+    getstatic Worker.total J
     returnvalue
   }
 }
@@ -96,53 +79,42 @@ struct RunResult {
 constexpr int kPhases = 8;
 constexpr int kCallsPerPhase = 12;
 
-/// strategy: -1 = adaptive, otherwise the node the worker is pinned to.
+/// strategy: -1 = adaptive, otherwise the node the Source is pinned to.
 RunResult run(int strategy) {
     model::ClassPool pool = bench::assemble_app(kApp);
     runtime::System system(pool);
     system.add_node();
     system.add_node();
-
-    Value src = system.construct(0, "Source", "()V");
-    Value worker = system.construct(0, "Worker", "(LSource;)V", {src});
-    net::NodeId src_node = 0, worker_node = 0;
-    vm::ObjId src_oid = src.as_ref(), worker_oid = worker.as_ref();
-
-    if (strategy == 1) {
-        worker_oid = system.migrate_instance(0, worker_oid, 1, "RMI");
-        worker_node = 1;
+    system.policy().set_singleton_home("Source", strategy < 0 ? 0 : strategy, "RMI");
+    system.policy().set_singleton_home("Worker", 0, "RMI");
+    if (strategy < 0) {
+        // One process() call's six samples are evidence enough.
+        runtime::AdaptPolicy policy;
+        policy.min_window_calls = 4;
+        system.enable_adaptation(policy);
     }
 
-    // The adaptive strategy is the library's GreedyAdapter: the harness only
-    // reports phase costs and declares the affinity target.
-    std::unique_ptr<runtime::GreedyAdapter> adapter;
-    if (strategy < 0)
-        adapter = std::make_unique<runtime::GreedyAdapter>(system, worker_node, worker_oid, "RMI");
-
     RunResult result;
+    net::NodeId worker_node = 0;
     for (int phase = 0; phase < kPhases; ++phase) {
         net::NodeId want = (phase / 2) % 2 == 0 ? 1 : 0;  // environment change
-        if (want != src_node) {
-            src_oid = system.migrate_instance(src_node, src_oid, want, "RMI");
-            src_node = want;
+        if (want != worker_node) {
+            system.migrate_singleton("Worker", want, "RMI");
+            worker_node = want;
         }
         std::uint64_t migrations_before = system.migrations();
 
         std::uint64_t start = system.network().now_us();
-        for (int k = 0; k < kCallsPerPhase; ++k)
+        for (int k = 0; k < kCallsPerPhase; ++k) {
             result.outcome =
-                system.node(0).interp().call_virtual(worker, "process", "()J").as_long();
+                system.call_static(worker_node, "Worker", "process", "()J").as_long();
+            system.adaptation_tick();  // no-op for the pinned strategies
+        }
         std::uint64_t cost = system.network().now_us() - start;
         result.phase_us.push_back(cost);
         result.total_us += cost;
-
-        if (adapter) {
-            adapter->set_affinity(src_node);
-            adapter->report_phase_cost(cost);
-        }
         result.migrations += system.migrations() - migrations_before;
     }
-    (void)worker_oid;
     return result;
 }
 
@@ -151,7 +123,7 @@ void print_series() {
     RunResult pinned1 = run(1);
     RunResult adaptive = run(-1);
 
-    std::printf("per-phase virtual time (us); source hops nodes every 2 phases\n\n");
+    std::printf("per-phase virtual time (us); worker hops nodes every 2 phases\n\n");
     std::printf("%-10s", "phase");
     for (int p = 0; p < kPhases; ++p) std::printf("%9d", p);
     std::printf("%12s\n", "total");
@@ -164,7 +136,7 @@ void print_series() {
     row("pinned-0", pinned0);
     row("pinned-1", pinned1);
     row("adaptive", adaptive);
-    std::printf("\nadaptive used %llu worker migrations; identical results: %s\n\n",
+    std::printf("\nadaptive used %llu source migrations; identical results: %s\n\n",
                 static_cast<unsigned long long>(adaptive.migrations),
                 (pinned0.outcome == adaptive.outcome && pinned1.outcome == adaptive.outcome)
                     ? "yes"
@@ -209,7 +181,7 @@ void emit_summary() {
 int main(int argc, char** argv) {
     std::printf("=== E6: adapting distribution boundaries to the environment ===\n");
     std::printf(
-        "expected shape: adaptive tracks the cheaper placement within one phase\n"
+        "expected shape: adaptive follows the worker within one process() call\n"
         "of each environment change; pinned placements pay full remote chatter\n"
         "half the time.\n\n");
     print_series();

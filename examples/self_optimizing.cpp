@@ -1,18 +1,20 @@
 // self_optimizing — closing the paper's loop: the middleware *observes* who
-// talks to whom, *decides* new placements (PolicyAdvisor), and *acts* by
-// migrating the live objects.  No application change, no operator.
+// talks to whom, *decides* new placements and *acts* by moving the live
+// objects — all in the AdaptationEngine.  No application change, no
+// operator.
 //
 // Deployment starts wrong on purpose: the three services live on node 2
-// while all the callers are on node 0.  After one observation window the
-// advisor recommends moving every hot class to node 0; the loop applies the
-// recommendations and migrates the existing instances.  The next window
-// costs (almost) nothing.
+// while all the callers are on node 0.  The engine tracks the three
+// instances; after one observation window a single controller tick moves
+// each hot service next to its callers (or, for the read-only Pricer,
+// gives node 0 a local replica).  The caller's forwarding chains are then
+// shortened, and the next window costs (almost) nothing.
 #include <iomanip>
 #include <iostream>
+#include <utility>
 
 #include "model/assembler.hpp"
 #include "model/verifier.hpp"
-#include "runtime/advisor.hpp"
 #include "runtime/system.hpp"
 #include "vm/prelude.hpp"
 
@@ -86,6 +88,15 @@ int main() {
     Value catalog = system.construct(0, "Catalog", "()V");
     Value pricer = system.construct(0, "Pricer", "()V");
     Value audit = system.construct(0, "Audit", "()V");
+    const std::pair<const char*, Value> services[] = {
+        {"Catalog", catalog}, {"Pricer", pricer}, {"Audit", audit}};
+
+    // The engine finds singletons by itself; instances are registered.
+    system.enable_adaptation();
+    for (const auto& [cls, ref] : services) {
+        auto [n, oid] = system.resolve_terminal(0, ref.as_ref());
+        system.adaptation()->track_instance(cls, n, oid);
+    }
     vm::Interpreter& web = system.node(0).interp();
 
     auto window = [&](int requests) {
@@ -101,25 +112,21 @@ int main() {
     std::cout << "window 1 (everything on node 2, callers on node 0): "
               << window(25) << "us\n\n";
 
-    runtime::PolicyAdvisor advisor(system, /*min_calls=*/10, /*min_dominance=*/0.6);
-    std::vector<runtime::Recommendation> recs = advisor.advise();
-    std::cout << "advisor recommendations (observed " << recs.size() << " hot classes):\n";
-    for (const auto& r : recs)
-        std::cout << "  move " << r.cls << ": node " << r.objects_on << " -> node "
-                  << r.recommended_home << "  (" << r.remote_calls << " remote calls, "
-                  << std::fixed << std::setprecision(0) << 100 * r.dominance
-                  << "% from one node)\n";
+    // Observe + decide + act: one forced controller tick.
+    system.adaptation_tick(/*force=*/true);
+    std::cout << "controller decisions:\n";
+    for (const runtime::AdaptDecision& d : system.adaptation()->decisions())
+        std::cout << "  " << std::left << std::setw(10)
+                  << runtime::adapt_action_name(d.action) << std::setw(8) << d.cls
+                  << " node " << d.from << " -> node " << d.to << "  ("
+                  << d.window_calls << " remote calls, " << d.window_bytes
+                  << " wire bytes in the window)\n";
 
-    // Act: new placements for future objects, migration for the live ones.
-    advisor.apply(recs);
-    for (Value* obj : {&catalog, &pricer, &audit}) {
-        auto [n, oid] = system.resolve_terminal(0, obj->as_ref());
-        if (n != 0) {
-            system.migrate_instance(n, oid, 0, "RMI");
-            system.shorten_chain(0, obj->as_ref());
-        }
-    }
-    std::cout << "\napplied + migrated " << system.migrations() << " objects\n";
+    // The caller's references still chain through node 2: collapse them.
+    for (const auto& [cls, ref] : services)
+        if (system.resolve_terminal(0, ref.as_ref()).first == 0)
+            system.shorten_chain(0, ref.as_ref());
+    std::cout << "\nmigrated " << system.migrations() << " objects\n";
 
     std::cout << "window 2 (after self-optimisation):                  "
               << window(25) << "us\n";

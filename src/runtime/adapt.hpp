@@ -126,9 +126,10 @@ public:
         return decisions_;
     }
 
-    /// Explicitly registers an instance for the controller (tests; the
-    /// autonomous path finds singletons by itself).  The engine keeps the
-    /// tracking entry current across its own migrations.
+    /// Registers an instance for the controller: singletons are found by
+    /// the autonomous path, but plain instances have no registry to scan.
+    /// The engine keeps the tracking entry current across its own
+    /// migrations.
     void track_instance(const std::string& cls, net::NodeId node,
                         std::uint64_t oid);
 

@@ -736,27 +736,12 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
     const obs::SpanScope span(journal_, &f.clock_us(), from,
                               [&] { return "runtime.migrate " + cls_name; });
 
-    // Marshal the object state (references become remote references).
-    const model::Layout& layout = result_.pool.layout_of(cls_name);
-    net::CallRequest transfer_msg;  // used for wire-size accounting
-    transfer_msg.kind = net::RequestKind::Create;
-    transfer_msg.request_id = next_request_id();
-    transfer_msg.src_node = from;
-    transfer_msg.cls = cls_name;
-    for (const model::FieldSlot& slot : layout.slots)
-        transfer_msg.args.push_back(f.export_value(f.interp().get_field(oid, slot.name)));
-
-    // Migration uses a reliable control channel: account the transfer cost
-    // (an injected "drop" still draws from the PRNG and occupies the link,
-    // but the move proceeds regardless).  It is a stop-the-world control
-    // operation — the vacated slot and the policy tables are global state —
-    // so *every* node reconciles to the landing time (a synchronization
-    // barrier, DESIGN.md §13), which is exactly the old global-clock
-    // behaviour.
-    net::Codec& c = codec(proto);
-    Bytes payload = c.encode_request(transfer_msg);
-    net::Delivery landed = network_.transfer_at(from, to, payload.size(), f.clock_us());
-    for (const auto& n : nodes_) n->reconcile_clock(landed.at_us);
+    // Migration is a stop-the-world control operation — the vacated slot
+    // and the policy tables are global state — so *every* node reconciles
+    // to the landing time (a synchronization barrier, DESIGN.md §13),
+    // which is exactly the old global-clock behaviour.  References in the
+    // state become remote references on `to`.
+    const Shipment moved = ship_state(from, oid, to, proto, /*barrier=*/true);
 
     // The barrier also quiesces the wire model: any batch lane still
     // marked joinable refers to a frame opened before the migration, and a
@@ -767,44 +752,65 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
     // barrier — the primary no longer lives at (from, oid).
     if (replicas_.active()) replicas_.drop_primary(from, oid);
 
-    // Materialise on the target node.
-    vm::ObjId new_oid = t.interp().allocate(cls_name);
-    for (std::size_t k = 0; k < layout.slots.size(); ++k)
-        t.interp().set_field(new_oid, layout.slots[k].name,
-                             t.import_value(transfer_msg.args[k], proto));
-
     // Swap the vacated slot for a proxy: local references on `from` now go
     // remote, and proxies elsewhere chain through it (Figure 1).
     const model::ClassFile& proxy_cls =
         result_.pool.get(naming::interface_to_proxy(*iface, proto));
     f.interp().heap().transmute(
         oid, proxy_cls,
-        {Value::of_int(to), Value::of_long(static_cast<std::int64_t>(new_oid))});
+        {Value::of_int(to), Value::of_long(static_cast<std::int64_t>(moved.oid))});
     // The transmute bypasses the VM's mutation paths (it is a runtime
     // substitution, not guest code), so the WAL must hear about it
     // explicitly or a recovered `from` would resurrect the migrated object.
     if (f.durable())
-        f.wal()->append_transmute(f.clock_us(), oid, proxy_cls.name, to, new_oid);
+        f.wal()->append_transmute(f.clock_us(), oid, proxy_cls.name, to, moved.oid);
 
     migrations_counter_->add();
-    migration_bytes_counter_->add(payload.size());
+    migration_bytes_counter_->add(moved.bytes);
     if (directory_.enabled()) {
         // The owning shard learns the relocation, so directory lookups for
         // (from, oid) resolve straight to the new home instead of chasing
         // the proxy chain; stale per-node caches are shed at the same
         // barrier the migration already imposes.
-        directory_.put_object(from, oid, to, new_oid);
-        directory_.invalidate_caches();
-        dir_updates_->add();
-        dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
+        directory_.put_object(from, oid, to, moved.oid);
+        directory_updated(/*shed_caches=*/true);
     }
-    journal_.record(obs::JournalEvent::Kind::Migrate, landed.at_us, from, to, oid,
-                    new_oid, cls_name);
+    journal_.record(obs::JournalEvent::Kind::Migrate, moved.at_us, from, to, oid,
+                    moved.oid, cls_name);
     f.sync_guest_time();
     t.sync_guest_time();
     log_info("runtime", "migrated ", cls_name, " (", from, ",", oid, ") -> (", to, ",",
-             new_oid, ")");
-    return new_oid;
+             moved.oid, ")");
+    return moved.oid;
+}
+
+System::Shipment System::ship_state(net::NodeId from, vm::ObjId oid, net::NodeId to,
+                                    const std::string& proto, bool barrier,
+                                    vm::ObjId into) {
+    Node& f = node(from);
+    Node& t = node(to);
+    const std::string& impl = f.interp().class_of(oid).name;
+    const model::Layout& layout = result_.pool.layout_of(impl);
+    net::CallRequest msg;
+    msg.kind = net::RequestKind::Create;
+    msg.request_id = next_request_id();
+    msg.src_node = from;
+    msg.cls = impl;
+    for (const model::FieldSlot& slot : layout.slots)
+        msg.args.push_back(f.export_value(f.interp().get_field(oid, slot.name)));
+    const std::size_t bytes = codec(proto).encode_request(msg).size();
+    const net::Delivery landed = network_.transfer_at(from, to, bytes, f.clock_us());
+    if (barrier) {
+        for (const auto& n : nodes_) n->reconcile_clock(landed.at_us);
+    } else {
+        t.reconcile_clock(landed.at_us);
+    }
+
+    if (into == 0) into = t.interp().allocate(impl);
+    for (std::size_t k = 0; k < layout.slots.size(); ++k)
+        t.interp().set_field(into, layout.slots[k].name,
+                             t.import_value(msg.args[k], proto));
+    return Shipment{into, landed.at_us, bytes};
 }
 
 void System::migrate_singleton(const std::string& cls, net::NodeId to,
@@ -814,9 +820,7 @@ void System::migrate_singleton(const std::string& cls, net::NodeId to,
     policy_.set_singleton_home(cls, to, proto);
     if (directory_.enabled()) {
         directory_.put_singleton(cls, to, proto);
-        directory_.invalidate_caches();
-        dir_updates_->add();
-        dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
+        directory_updated(/*shed_caches=*/true);
     }
     if (current.node == to) return;
     Node& home = node(current.node);
@@ -1075,11 +1079,7 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
         }
     }
 
-    if (directory_.enabled()) {
-        directory_.invalidate_caches();
-        dir_updates_->add();
-        dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
-    }
+    if (directory_.enabled()) directory_updated(/*shed_caches=*/true);
     if (wal_relocated_) wal_relocated_->add(relocated);
     journal_.record(obs::JournalEvent::Kind::Recover, landed.at_us, crashed, target,
                     img.objects.size(), image_bytes);
@@ -1126,65 +1126,25 @@ vm::ObjId System::create_replica(net::NodeId primary, vm::ObjId oid,
     if (primary == reader)
         throw RuntimeError("replica reader is the primary's own node");
     ensure_replica_counters();
-    Node& p = node(primary);
-    Node& r = node(reader);
-    const std::string& impl = p.interp().class_of(oid).name;
-    const model::Layout& layout = result_.pool.layout_of(impl);
-    const std::string proto = policy_.default_protocol();
-
-    net::CallRequest msg;
-    msg.kind = net::RequestKind::Create;
-    msg.request_id = next_request_id();
-    msg.src_node = primary;
-    msg.cls = impl;
-    for (const model::FieldSlot& slot : layout.slots)
-        msg.args.push_back(p.export_value(p.interp().get_field(oid, slot.name)));
-    Bytes payload = codec(proto).encode_request(msg);
-    // Reliable control channel, like migration — but NOT a barrier: only
-    // the reader learns (its clock reconciles to the landing).
-    net::Delivery landed =
-        network_.transfer_at(primary, reader, payload.size(), p.clock_us());
-    r.reconcile_clock(landed.at_us);
-
-    vm::ObjId copy = r.interp().allocate(impl);
-    for (std::size_t k = 0; k < layout.slots.size(); ++k)
-        r.interp().set_field(copy, layout.slots[k].name,
-                             r.import_value(msg.args[k], proto));
-    replicas_.put(primary, oid, cls, Replica{reader, copy, true});
-    r.sync_guest_time();
+    // Not a barrier, unlike migration: only the reader learns.
+    const Shipment copy =
+        ship_state(primary, oid, reader, policy_.default_protocol(), /*barrier=*/false);
+    replicas_.put(primary, oid, cls, Replica{reader, copy.oid, true});
+    node(reader).sync_guest_time();
     log_info("runtime", "replicated ", cls, " (", primary, ",", oid, ") -> node ",
              reader);
-    return copy;
+    return copy.oid;
 }
 
 void System::refresh_replica(const std::string& cls, net::NodeId primary,
                              vm::ObjId oid, Replica& r) {
     ensure_replica_counters();
-    Node& p = node(primary);
-    Node& reader = node(r.node);
-    const std::string& impl = p.interp().class_of(oid).name;
-    const model::Layout& layout = result_.pool.layout_of(impl);
-    const std::string proto = policy_.default_protocol();
-
-    net::CallRequest msg;
-    msg.kind = net::RequestKind::Create;
-    msg.request_id = next_request_id();
-    msg.src_node = primary;
-    msg.cls = impl;
-    for (const model::FieldSlot& slot : layout.slots)
-        msg.args.push_back(p.export_value(p.interp().get_field(oid, slot.name)));
-    Bytes payload = codec(proto).encode_request(msg);
-    net::Delivery landed =
-        network_.transfer_at(primary, r.node, payload.size(), p.clock_us());
-    reader.reconcile_clock(landed.at_us);
-
-    for (std::size_t k = 0; k < layout.slots.size(); ++k)
-        reader.interp().set_field(r.oid, layout.slots[k].name,
-                                  reader.import_value(msg.args[k], proto));
+    const Shipment fresh = ship_state(primary, oid, r.node, policy_.default_protocol(),
+                                      /*barrier=*/false, r.oid);
     r.valid = true;
     adapt_replica_refreshes_->add();
-    journal_.record(obs::JournalEvent::Kind::Adapt, landed.at_us, primary, r.node, 4,
-                    payload.size(), cls);
+    journal_.record(obs::JournalEvent::Kind::Adapt, fresh.at_us, primary, r.node, 4,
+                    fresh.bytes, cls);
 }
 
 void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
@@ -1418,6 +1378,12 @@ void System::directory_control_trip(net::NodeId asker, net::NodeId owner) {
     a.reconcile_clock(answer.at_us);
 }
 
+void System::directory_updated(bool shed_caches) {
+    if (shed_caches) directory_.invalidate_caches();
+    dir_updates_->add();
+    dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
+}
+
 Placement System::directory_discover(const std::string& cls, net::NodeId asker) {
     dir_lookups_->add();
     if (const DirLocation* hit = directory_.cached_singleton(asker, cls)) {
@@ -1432,8 +1398,7 @@ Placement System::directory_discover(const std::string& cls, net::NodeId asker) 
         // placement policy's initial assignment.
         Placement p = policy_.singleton_placement(cls, asker);
         directory_.put_singleton(cls, p.node, p.protocol);
-        dir_updates_->add();
-        dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
+        directory_updated(/*shed_caches=*/false);
         entry = directory_.find_singleton(cls);
     }
     directory_.cache_singleton(asker, cls, *entry);

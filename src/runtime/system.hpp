@@ -269,16 +269,6 @@ public:
         /// Wire bytes (requests + replies, retries included) per edge,
         /// from the `rpc.class_bytes.<cls>.<src>.<dst>` counters.
         std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> bytes;
-        std::uint64_t total() const {
-            std::uint64_t n = 0;
-            for (const auto& [_, c] : calls) n += c;
-            return n;
-        }
-        std::uint64_t total_bytes() const {
-            std::uint64_t n = 0;
-            for (const auto& [_, c] : bytes) n += c;
-            return n;
-        }
     };
     /// View over the `rpc.class_calls.<cls>.<src>.<dst>` (and matching
     /// class_bytes) registry counters, rebuilt on each call; all-zero
@@ -392,6 +382,28 @@ private:
     /// is modelled reliable (like migration): loss costs time, never the
     /// outcome.
     void directory_control_trip(net::NodeId asker, net::NodeId owner);
+    /// Publishes one directory mutation (the caller has just put the
+    /// entry): bumps directory.updates and republishes the entry gauge.
+    /// `shed_caches` also drops every node's lookup cache — a relocation
+    /// makes cached answers stale, a first-demand materialization does not.
+    void directory_updated(bool shed_caches);
+
+    /// Where one object-state shipment landed.
+    struct Shipment {
+        vm::ObjId oid = 0;        // the object now holding the state on `to`
+        std::uint64_t at_us = 0;  // landing time
+        std::size_t bytes = 0;    // encoded frame size
+    };
+    /// The one object-state path behind migration, replica install and
+    /// replica refresh: marshals every layout slot of (from, oid) into a
+    /// Create frame (encoded for its wire size only), charges it as a
+    /// transfer from -> to on the reliable control channel (a "drop" still
+    /// draws from the PRNG and occupies the link, but the shipment
+    /// proceeds), reconciles the landing — on every node when `barrier`,
+    /// on `to` alone otherwise — and writes the state into `into` on `to`,
+    /// a fresh allocation when `into` is 0.
+    Shipment ship_state(net::NodeId from, vm::ObjId oid, net::NodeId to,
+                        const std::string& proto, bool barrier, vm::ObjId into = 0);
 
     void wire_node(Node& node);
     std::uint64_t next_request_id() { return ++request_counter_; }

@@ -10,7 +10,6 @@
 #include "model/assembler.hpp"
 #include "model/binio.hpp"
 #include "model/verifier.hpp"
-#include "runtime/adapter.hpp"
 #include "runtime/policy_config.hpp"
 #include "runtime/system.hpp"
 #include "transform/local_binder.hpp"
@@ -230,9 +229,9 @@ TEST_F(ScenarioFixture, TransformedArtefactSurvivesSerialisation) {
               "shipped sku 2");
 }
 
-TEST_F(ScenarioFixture, AdapterDrivesGeneratedWorkload) {
-    // GreedyAdapter steering a generated program's root object between
-    // nodes as its dependency (we fake the affinity signal) moves.
+TEST_F(ScenarioFixture, MigrationDrivesGeneratedWorkload) {
+    // A generated program's root object bounces between nodes every phase
+    // while node 0 keeps calling it through its original reference.
     corpus::ProgramParams params;
     params.classes = 3;
     params.seed = 77;
@@ -242,18 +241,22 @@ TEST_F(ScenarioFixture, AdapterDrivesGeneratedWorkload) {
     system.add_node();
 
     Value root = system.construct(0, "Gen2", "(J)V", {Value::of_long(9)});
-    runtime::GreedyAdapter adapter(system, 0, root.as_ref(), "RMI");
+    net::NodeId root_node = 0;
+    vm::ObjId root_oid = root.as_ref();
     std::int64_t last = 0;
     for (int phase = 0; phase < 4; ++phase) {
-        adapter.set_affinity(phase % 2);
-        std::uint64_t t0 = system.network().now_us();
+        const net::NodeId want = phase % 2;
+        if (want != root_node) {
+            root_oid = system.migrate_instance(root_node, root_oid, want, "RMI");
+            root_node = want;
+        }
         for (int k = 0; k < 3; ++k)
             last = system.node(0)
                        .interp()
                        .call_virtual(root, "step", "(J)J", {Value::of_long(k)})
                        .as_long();
-        adapter.report_phase_cost(system.network().now_us() - t0);
     }
+    EXPECT_EQ(system.migrations(), 3u);
     // Compare against a never-migrated local run.
     transform::PipelineResult local = transform::run_pipeline(pool);
     vm::Interpreter interp(local.pool);

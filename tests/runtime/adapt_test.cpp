@@ -14,7 +14,10 @@
 //     defers and is retried by a later tick, with exactly-once execution
 //     preserved under retries + dedup (the E10 invariant);
 //   - two runs from one seed take identical decisions at identical
-//     virtual times.
+//     virtual times;
+//   - an explicitly tracked instance follows its dominant remote caller,
+//     stays tracked across repeated moves, and its guest results match a
+//     run that never migrated it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -30,6 +33,8 @@
 
 namespace rafda::runtime {
 namespace {
+
+using vm::Value;
 
 constexpr const char* kApp = R"(
 class Counter {
@@ -267,6 +272,156 @@ TEST(Adapt, DecisionsAreDeterministicFromTheSeed) {
     EXPECT_EQ(a.makespan_us, b.makespan_us);
     EXPECT_EQ(a.wire_bytes, b.wire_bytes);
     EXPECT_EQ(a.digest, b.digest);
+}
+
+// ---- tracked instances ---------------------------------------------------
+
+constexpr const char* kTrackedApp = R"(
+class Cell {
+  field n I
+  ctor ()V {
+    return
+  }
+  method hit ()I {
+    load 0
+    load 0
+    getfield Cell.n I
+    const 1
+    add
+    putfield Cell.n I
+    load 0
+    getfield Cell.n I
+    returnvalue
+  }
+}
+)";
+
+/// Three nodes; Cell instances are (mis)deployed on node 2 while the
+/// callers live on nodes 0 and 1.
+struct TrackedFixture {
+    model::ClassPool pool;
+    std::unique_ptr<System> system;
+    Value cell;  // node 0's reference
+    std::vector<std::int32_t> results;
+
+    explicit TrackedFixture(bool adapt) {
+        vm::install_prelude(pool);
+        model::assemble_into(pool, kTrackedApp);
+        model::verify_pool(pool);
+        system = std::make_unique<System>(pool);
+        for (int k = 0; k < 3; ++k) system->add_node();
+        system->policy().set_instance_home("Cell", 2, "RMI");
+        cell = system->construct(0, "Cell", "()V");
+        if (adapt) {
+            system->enable_adaptation();
+            const auto [node, oid] = where();
+            system->adaptation()->track_instance("Cell", node, oid);
+        }
+    }
+
+    /// The cell's current terminal location.
+    std::pair<net::NodeId, vm::ObjId> where() {
+        return system->resolve_terminal(0, cell.as_ref());
+    }
+
+    /// `calls` hits from `caller`; returns the window's virtual time.
+    /// Node 0 calls through its original reference (a chain after a move),
+    /// other callers through one imported straight at the current home.
+    std::uint64_t hits(net::NodeId caller, int calls) {
+        const auto [node, oid] = where();
+        const Value ref = caller == 0 ? cell
+                                      : system->node(caller).import_ref(
+                                            node, oid, "Cell_O_Int", "RMI");
+        const std::uint64_t t0 = system->network().now_us();
+        for (int k = 0; k < calls; ++k)
+            results.push_back(
+                system->node(caller).interp().call_virtual(ref, "hit", "()I").as_int());
+        return system->network().now_us() - t0;
+    }
+
+    const std::vector<AdaptDecision>& decisions() {
+        return system->adaptation()->decisions();
+    }
+};
+
+TEST(Adapt, TrackedInstanceMigratesToDominantCaller) {
+    TrackedFixture f(/*adapt=*/true);
+    f.hits(0, 40);
+    ASSERT_TRUE(f.system->adaptation_tick(/*force=*/true));
+
+    ASSERT_EQ(f.decisions().size(), 1u);
+    const AdaptDecision& d = f.decisions()[0];
+    EXPECT_EQ(d.cls, "Cell");
+    EXPECT_EQ(d.action, AdaptDecision::Action::Migrate);
+    EXPECT_EQ(d.from, 2);
+    EXPECT_EQ(d.to, 0);
+    EXPECT_EQ(d.window_calls, 40u);
+    const auto [node, oid] = f.where();
+    EXPECT_EQ(node, 0);
+    EXPECT_EQ(f.system->node(0).interp().class_of(oid).name, "Cell_O_Local");
+}
+
+TEST(Adapt, TrackedInstanceStaysTrackedAcrossMoves) {
+    TrackedFixture f(/*adapt=*/true);
+    f.hits(0, 40);
+    f.system->adaptation_tick(/*force=*/true);
+    // The skew moves: node 1 now does all the calling.  A second move is
+    // only possible if the engine followed the first one — the old
+    // (node 2) slot is a proxy now and cannot migrate again.
+    f.hits(1, 40);
+    ASSERT_TRUE(f.system->adaptation_tick(/*force=*/true));
+
+    ASSERT_EQ(f.decisions().size(), 2u);
+    EXPECT_EQ(f.decisions()[1].action, AdaptDecision::Action::Migrate);
+    EXPECT_EQ(f.decisions()[1].from, 0);
+    EXPECT_EQ(f.decisions()[1].to, 1);
+    EXPECT_EQ(f.system->migrations(), 2u);
+    // The tracked object is the live local object on node 1.
+    const auto [node, oid] = f.where();
+    EXPECT_EQ(node, 1);
+    EXPECT_EQ(f.system->node(1).interp().class_of(oid).name, "Cell_O_Local");
+}
+
+TEST(Adapt, TrackedMigrationPreservesGuestResults) {
+    TrackedFixture still(/*adapt=*/false);
+    TrackedFixture moved(/*adapt=*/true);
+    still.hits(0, 30);
+    const std::uint64_t before = moved.hits(0, 30);
+    moved.system->adaptation_tick(/*force=*/true);
+    moved.system->shorten_chain(0, moved.cell.as_ref());
+    still.hits(0, 30);
+    const std::uint64_t after = moved.hits(0, 30);
+
+    EXPECT_EQ(still.system->migrations(), 0u);
+    EXPECT_EQ(moved.system->migrations(), 1u);
+    EXPECT_EQ(moved.results, still.results);
+    // Closing the loop paid off: with the chain shortened the cell is a
+    // loopback call on node 0, free in virtual time.
+    EXPECT_GT(before, 0u);
+    EXPECT_EQ(after, 0u);
+}
+
+TEST(Adapt, TrackedInstanceWithLocalCallersStaysPut) {
+    TrackedFixture f(/*adapt=*/true);
+    f.hits(0, 40);
+    f.system->adaptation_tick(/*force=*/true);
+    f.system->shorten_chain(0, f.cell.as_ref());
+    ASSERT_EQ(f.decisions().size(), 1u);
+    // Every call is now loopback on the cell's own node: nothing remote to
+    // observe, so further ticks never move it.
+    f.hits(0, 40);
+    EXPECT_TRUE(f.system->adaptation_tick(/*force=*/true));
+    EXPECT_EQ(f.decisions().size(), 1u);
+    EXPECT_EQ(f.where().first, 0);
+}
+
+TEST(Adapt, SparseWindowTakesNoDecision) {
+    TrackedFixture f(/*adapt=*/true);
+    const auto min_calls = f.system->adaptation()->policy().min_window_calls;
+    f.hits(0, static_cast<int>(min_calls) - 1);
+    EXPECT_TRUE(f.system->adaptation_tick(/*force=*/true));
+    EXPECT_TRUE(f.decisions().empty());
+    EXPECT_EQ(f.where().first, 2);
 }
 
 }  // namespace

@@ -399,7 +399,7 @@ TEST(WorkloadDriver, MatrixCapOverflowPreservesTotals) {
         WorkloadDriver::Report r = drive(*system, 6, 4);
         std::uint64_t named_calls = 0;
         for (const auto& [_, t] : system->class_traffic())
-            named_calls += t.total();
+            for (const auto& [edge, calls] : t.calls) named_calls += calls;
         const std::uint64_t overflow_calls =
             system->metrics().counter("rpc.class_calls.overflow").value();
         const std::uint64_t redirected =

@@ -1,8 +1,8 @@
 // End-to-end observability: one logical RPC shows up in the journal's span
 // view as the documented span tree, forwarding chains nest under the
 // dispatch that caused them,
-// and the registry is the single source the stats views and the advisor
-// read from.
+// and the registry is the single source the stats views and the adaptation
+// engine read from.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,7 +14,6 @@
 #include "model/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
-#include "runtime/advisor.hpp"
 #include "runtime/system.hpp"
 #include "vm/prelude.hpp"
 
@@ -217,7 +216,7 @@ TEST_F(ObservabilityFixture, StatsViewsAreRegistryBacked) {
     const auto& traffic = system->class_traffic();
     ASSERT_TRUE(traffic.count("C"));
     EXPECT_EQ(traffic.at("C").calls.at({0, 1}), 5u);
-    EXPECT_EQ(traffic.at("C").total(), 5u);
+    EXPECT_EQ(traffic.at("C").calls.size(), 1u);  // the only edge
 
     // reset_stats() zeroes the registry, and the views follow.
     system->reset_stats();
@@ -259,29 +258,35 @@ TEST_F(ObservabilityFixture, DispatchHandlesSurviveResetAndRegistryGrowth) {
     EXPECT_EQ(system->class_traffic().at("C").calls.at({0, 1}), 2u);
 }
 
-TEST_F(ObservabilityFixture, AdvisorReadsExclusivelyFromRegistry) {
+TEST_F(ObservabilityFixture, EngineReadsExclusivelyFromRegistry) {
     // Traffic split 30/10 between nodes 0 and 1 toward objects on node 2.
     system->policy().set_instance_home("C", 2, "RMI");
     Value c = system->construct(0, "C", "()V");
-    Value c_on_1 = system->node(1).import_ref(
-        2, system->resolve_terminal(0, c.as_ref()).second, "C_O_Int", "RMI");
+    const vm::ObjId home_oid = system->resolve_terminal(0, c.as_ref()).second;
+    Value c_on_1 = system->node(1).import_ref(2, home_oid, "C_O_Int", "RMI");
     for (int k = 0; k < 30; ++k) system->node(0).interp().call_virtual(c, "poke", "()I");
     for (int k = 0; k < 10; ++k)
         system->node(1).interp().call_virtual(c_on_1, "poke", "()I");
 
-    // The registry holds exactly the edges the advisor must see.
+    // The registry holds exactly the edges the engine must see.
     obs::Snapshot snap = system->metrics().snapshot();
     EXPECT_EQ(snap.counter_value("rpc.class_calls.C.0.2"), 30u);
     EXPECT_EQ(snap.counter_value("rpc.class_calls.C.1.2"), 10u);
 
-    PolicyAdvisor advisor(*system, /*min_calls=*/16, /*min_dominance=*/0.6);
-    std::vector<Recommendation> recs = advisor.advise();
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(recs[0].cls, "C");
-    EXPECT_EQ(recs[0].objects_on, 2);
-    EXPECT_EQ(recs[0].recommended_home, 0);
-    EXPECT_EQ(recs[0].remote_calls, 40u);
-    EXPECT_DOUBLE_EQ(recs[0].dominance, 0.75);
+    // An engine installed after the traffic reads its first window from
+    // those counters alone and moves C toward the dominant caller.
+    system->enable_adaptation();
+    system->adaptation()->track_instance("C", 2, home_oid);
+    ASSERT_TRUE(system->adaptation_tick(/*force=*/true));
+    const std::vector<AdaptDecision>& decisions = system->adaptation()->decisions();
+    ASSERT_EQ(decisions.size(), 1u);
+    EXPECT_EQ(decisions[0].cls, "C");
+    EXPECT_EQ(decisions[0].action, AdaptDecision::Action::Migrate);
+    EXPECT_EQ(decisions[0].from, 2);
+    EXPECT_EQ(decisions[0].to, 0);
+    EXPECT_EQ(decisions[0].window_calls, 40u);
+    EXPECT_EQ(decisions[0].window_bytes, snap.counter_value("rpc.class_bytes.C.0.2") +
+                                             snap.counter_value("rpc.class_bytes.C.1.2"));
 }
 
 TEST_F(ObservabilityFixture, MethodProfilingRecordsPerMethodHistograms) {

@@ -36,7 +36,7 @@ case " $presets " in
     for bench in bench_property_access bench_dispatch_matrix bench_concurrency \
                  bench_pipeline bench_transformability bench_reliability \
                  bench_journal bench_batching bench_adaptive \
-                 bench_durability; do
+                 bench_durability bench_adaptation; do
         echo "== perf smoke: $bench =="
         "build/bench/$bench" --benchmark_min_time=0.05 ||
             echo "WARN: $bench failed (non-gating)"
@@ -84,6 +84,20 @@ case " $presets " in
     grep -q '"exactly_once":1' BENCH_E15.json
     grep -q '"relocation_match":1' BENCH_E15.json
     echo "durability invariants OK: exactly_once + relocation_match"
+
+    # Adaptation shape (gating): E6's adaptive run — the AdaptationEngine
+    # following a moving caller — must reproduce the pinned runs'
+    # application result and finish in less virtual time than either
+    # pinned placement.
+    echo "== adaptation shape (E6) =="
+    grep -q '"identical_results":"yes"' BENCH_E6.json
+    e6_field() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p" BENCH_E6.json; }
+    e6_adaptive=$(e6_field adaptive_total_us)
+    e6_pinned0=$(e6_field pinned0_total_us)
+    e6_pinned1=$(e6_field pinned1_total_us)
+    [ "$e6_adaptive" -lt "$e6_pinned0" ]
+    [ "$e6_adaptive" -lt "$e6_pinned1" ]
+    echo "adaptation shape OK: adaptive $e6_adaptive us < pinned $e6_pinned0 / $e6_pinned1 us"
 
     # Scheduler determinism contract (gating): the event-heap refactor's
     # headline claim — dispatch order is a pure function of workload and
