@@ -11,11 +11,6 @@ constexpr std::uint8_t kVersionMajor = 1;
 constexpr std::uint8_t kVersionMinor = 0;
 constexpr std::uint8_t kTypeRequest = 0;
 constexpr std::uint8_t kTypeReply = 1;
-// Header flags bit: the reliability extension (attempt + deadline) follows
-// the header. Only set when either field is nonzero, so base-protocol
-// traffic — and the fault-free wire sizes in EXPERIMENTS.md E5 — is
-// byte-identical to the original framing.
-constexpr std::uint8_t kFlagReliable = 0x01;
 
 /// CDR-style writer: pads to 4-byte alignment before multi-byte values.
 /// Wraps the caller's ByteWriter (in the RPC path a pooled frame) and
@@ -141,24 +136,23 @@ MarshalledValue read_value(CdrReader& r) {
     return v;
 }
 
-void write_header(CdrWriter& w, std::uint8_t type, std::uint8_t flags = 0) {
+void write_header(CdrWriter& w, std::uint8_t type) {
     for (char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
     w.u8(kVersionMajor);
     w.u8(kVersionMinor);
     w.u8(type);
-    w.u8(flags);
+    w.u8(0);   // flags: none defined
     w.u32(0);  // body length (filled conceptually; unused by the simulator)
 }
 
-std::uint8_t read_header(CdrReader& r, std::uint8_t expected_type) {
+void read_header(CdrReader& r, std::uint8_t expected_type) {
     for (char c : kMagic)
         if (r.u8() != static_cast<std::uint8_t>(c)) throw CodecError("corbx: bad magic");
     if (r.u8() != kVersionMajor || r.u8() != kVersionMinor)
         throw CodecError("corbx: unsupported version");
     if (r.u8() != expected_type) throw CodecError("corbx: unexpected message type");
-    std::uint8_t flags = r.u8();
+    if (r.u8() != 0) throw CodecError("corbx: unknown header flags");
     r.u32();  // body length
-    return flags;
 }
 
 }  // namespace
@@ -170,16 +164,11 @@ const std::string& CorbxCodec::protocol() const {
 
 void CorbxCodec::encode_request_into(const CallRequest& req, ByteWriter& out) const {
     CdrWriter w(out);
-    const bool reliable = req.attempt != 0 || req.deadline_us != 0;
-    write_header(w, kTypeRequest, reliable ? kFlagReliable : 0);
-    if (reliable) {
-        w.u32(req.attempt);
-        w.u64(req.deadline_us);
-    }
+    write_header(w, kTypeRequest);
+    w.u32(req.attempt);
+    w.u64(req.deadline_us);
     w.u8(static_cast<std::uint8_t>(req.kind));
     w.u64(req.request_id);
-    w.u64(req.trace_id);
-    w.u64(req.parent_span);
     w.i32(req.src_node);
     w.u64(req.target_oid);
     w.str(req.cls);
@@ -191,19 +180,15 @@ void CorbxCodec::encode_request_into(const CallRequest& req, ByteWriter& out) co
 
 CallRequest CorbxCodec::decode_request(const Bytes& data) const {
     CdrReader r(data);
-    const std::uint8_t flags = read_header(r, kTypeRequest);
+    read_header(r, kTypeRequest);
     CallRequest req;
-    if (flags & kFlagReliable) {
-        req.attempt = r.u32();
-        req.deadline_us = r.u64();
-    }
+    req.attempt = r.u32();
+    req.deadline_us = r.u64();
     std::uint8_t kind = r.u8();
     if (kind > static_cast<std::uint8_t>(RequestKind::Discover))
         throw CodecError("corbx: bad request kind");
     req.kind = static_cast<RequestKind>(kind);
     req.request_id = r.u64();
-    req.trace_id = r.u64();
-    req.parent_span = r.u64();
     req.src_node = r.i32();
     req.target_oid = r.u64();
     req.cls = r.str();
@@ -212,6 +197,7 @@ CallRequest CorbxCodec::decode_request(const Bytes& data) const {
     const std::uint32_t n = r.count();
     req.args.reserve(n);
     for (std::uint32_t k = 0; k < n; ++k) req.args.push_back(read_value(r));
+    if (!r.at_end()) throw CodecError("corbx: trailing bytes in request");
     return req;
 }
 
@@ -240,6 +226,7 @@ CallReply CorbxCodec::decode_reply(const Bytes& data) const {
     } else {
         reply.result = read_value(r);
     }
+    if (!r.at_end()) throw CodecError("corbx: trailing bytes in reply");
     return reply;
 }
 

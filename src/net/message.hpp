@@ -47,20 +47,6 @@ enum class RequestKind : std::uint8_t {
 struct CallRequest {
     RequestKind kind = RequestKind::Invoke;
     std::uint64_t request_id = 0;
-    // Trace context fields, always 0: span parentage comes from the
-    // journal's open-span stack (obs/journal.hpp), not the wire.  Codecs
-    // still carry both so no frame changes by a byte; dropping them is a
-    // wire-format change.
-    std::uint64_t trace_id = 0;
-    std::uint64_t parent_span = 0;
-    // Event-sequencing metadata (simulation bookkeeping, NOT wire data):
-    // the sender's virtual clock when the request was handed to the link
-    // and the arrival time the network computed for it.  System::rpc
-    // threads these through the request so server-side dispatch and codec
-    // work are charged on the destination node's clock; codecs ignore
-    // both, so wire sizes are unaffected.
-    std::uint64_t sim_send_us = 0;
-    std::uint64_t sim_arrival_us = 0;
     // Accounting metadata (simulation bookkeeping, NOT wire data): the
     // original application class the call targets (set by the proxy
     // dispatcher so the RPC layer can attribute traffic per class without
@@ -69,12 +55,11 @@ struct CallRequest {
     // retries included.  Codecs ignore both.
     std::string stat_class;
     std::uint64_t sim_wire_bytes = 0;
-    // Reliability extension (DESIGN.md §15), carried on the wire only when
-    // nonzero so fault-free encodings stay byte-identical to the base
-    // protocol: `attempt` is 0 for the first try and N for the Nth retry
-    // (the callee's dedup cache and trace spans use it); `deadline_us` is
-    // the absolute virtual time after which the callee must not execute
-    // the call (0 = no deadline).
+    // Reliability fields (DESIGN.md §15), on the wire in every request:
+    // `attempt` is 0 for the first try and N for the Nth retry (the
+    // journal's dispatch event records it); `deadline_us` is the
+    // absolute virtual time after which the callee must not execute the
+    // call (0 = no deadline).
     std::uint32_t attempt = 0;
     std::uint64_t deadline_us = 0;
     std::int32_t src_node = 0;

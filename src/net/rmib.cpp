@@ -6,23 +6,16 @@ namespace rafda::net {
 
 namespace {
 
+// Every request carries attempt and deadline_us as LEB128 varints, so a
+// first attempt without a deadline pays one byte for each.
 constexpr std::uint8_t kMagicRequest = 0xA1;
 constexpr std::uint8_t kMagicReply = 0xA2;
-// Request carrying the reliability extension (attempt + deadline): used
-// only when either field is nonzero, so base-protocol traffic — and the
-// fault-free wire sizes in EXPERIMENTS.md E5 — is byte-identical to the
-// original framing.
-constexpr std::uint8_t kMagicRequestReliable = 0xA3;
 // Batch-continuation entry: a request coalesced into an already-open
 // frame on a busy link.  It omits src_node (pinned by the frame) and
-// carries request_id as a varint delta from the frame-opening call, with
-// the reliability and trace fields flag-gated the same way 0xA3 gates
-// the reliability extension.  Only decodable against the BatchContext
-// the encoder used, so decode_request rejects it outright.
+// carries request_id as a varint delta from the frame-opening call.  Only
+// decodable against the BatchContext the encoder used, so decode_request
+// rejects it outright.
 constexpr std::uint8_t kMagicBatchEntry = 0xA4;
-
-constexpr std::uint8_t kEntryFlagReliable = 0x01;
-constexpr std::uint8_t kEntryFlagTraced = 0x02;
 
 void write_value(ByteWriter& w, const MarshalledValue& v) {
     w.u8(static_cast<std::uint8_t>(v.tag));
@@ -69,7 +62,11 @@ std::uint8_t checked_kind(std::uint8_t kind) {
     return kind;
 }
 
+// Shared tail of a request and a batch entry: the reliability fields,
+// then the call itself.
 void write_call_body(ByteWriter& w, const CallRequest& req) {
+    w.varu64(req.attempt);
+    w.varu64(req.deadline_us);
     w.u64(req.target_oid);
     w.str(req.cls);
     w.str(req.method);
@@ -79,6 +76,10 @@ void write_call_body(ByteWriter& w, const CallRequest& req) {
 }
 
 void read_call_body(ByteReader& r, CallRequest& req) {
+    const std::uint64_t attempt = r.varu64();
+    if (attempt > UINT32_MAX) throw CodecError("rmib: attempt out of range");
+    req.attempt = static_cast<std::uint32_t>(attempt);
+    req.deadline_us = r.varu64();
     req.target_oid = r.u64();
     req.cls = r.str();
     req.method = r.str();
@@ -96,16 +97,9 @@ const std::string& RmibCodec::protocol() const {
 }
 
 void RmibCodec::encode_request_into(const CallRequest& req, ByteWriter& w) const {
-    const bool reliable = req.attempt != 0 || req.deadline_us != 0;
-    w.u8(reliable ? kMagicRequestReliable : kMagicRequest);
-    if (reliable) {
-        w.u32(req.attempt);
-        w.u64(req.deadline_us);
-    }
+    w.u8(kMagicRequest);
     w.u8(static_cast<std::uint8_t>(req.kind));
     w.u64(req.request_id);
-    w.u64(req.trace_id);
-    w.u64(req.parent_span);
     w.i32(req.src_node);
     write_call_body(w, req);
 }
@@ -115,17 +109,10 @@ CallRequest RmibCodec::decode_request(const Bytes& data) const {
     const std::uint8_t magic = r.u8();
     if (magic == kMagicBatchEntry)
         throw CodecError("rmib: batch entry outside a batch frame");
-    if (magic != kMagicRequest && magic != kMagicRequestReliable)
-        throw CodecError("rmib: bad request magic");
+    if (magic != kMagicRequest) throw CodecError("rmib: bad request magic");
     CallRequest req;
-    if (magic == kMagicRequestReliable) {
-        req.attempt = r.u32();
-        req.deadline_us = r.u64();
-    }
     req.kind = static_cast<RequestKind>(checked_kind(r.u8()));
     req.request_id = r.u64();
-    req.trace_id = r.u64();
-    req.parent_span = r.u64();
     req.src_node = r.i32();
     read_call_body(r, req);
     if (!r.at_end()) throw CodecError("rmib: trailing bytes in request");
@@ -138,21 +125,9 @@ void RmibCodec::encode_batch_entry(const CallRequest& req, const BatchContext& c
         throw CodecError("rmib: batch entry from a different source node");
     if (req.request_id < ctx.base_request_id)
         throw CodecError("rmib: batch entry precedes the frame-opening call");
-    std::uint8_t flags = 0;
-    if (req.attempt != 0 || req.deadline_us != 0) flags |= kEntryFlagReliable;
-    if (req.trace_id != 0 || req.parent_span != 0) flags |= kEntryFlagTraced;
     w.u8(kMagicBatchEntry);
-    w.u8(flags);
     w.varu64(req.request_id - ctx.base_request_id);
     w.u8(static_cast<std::uint8_t>(req.kind));
-    if (flags & kEntryFlagReliable) {
-        w.u32(req.attempt);
-        w.u64(req.deadline_us);
-    }
-    if (flags & kEntryFlagTraced) {
-        w.u64(req.trace_id);
-        w.u64(req.parent_span);
-    }
     write_call_body(w, req);
 }
 
@@ -160,21 +135,10 @@ CallRequest RmibCodec::decode_batch_entry(const Bytes& data,
                                           const BatchContext& ctx) const {
     ByteReader r(data);
     if (r.u8() != kMagicBatchEntry) throw CodecError("rmib: bad batch-entry magic");
-    const std::uint8_t flags = r.u8();
-    if (flags & ~(kEntryFlagReliable | kEntryFlagTraced))
-        throw CodecError("rmib: bad batch-entry flags");
     CallRequest req;
     req.src_node = ctx.src_node;
     req.request_id = ctx.base_request_id + r.varu64();
     req.kind = static_cast<RequestKind>(checked_kind(r.u8()));
-    if (flags & kEntryFlagReliable) {
-        req.attempt = r.u32();
-        req.deadline_us = r.u64();
-    }
-    if (flags & kEntryFlagTraced) {
-        req.trace_id = r.u64();
-        req.parent_span = r.u64();
-    }
     read_call_body(r, req);
     if (!r.at_end()) throw CodecError("rmib: trailing bytes in batch entry");
     return req;

@@ -1,10 +1,11 @@
 #include "net/soapx.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string_view>
+#include <system_error>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -133,15 +134,24 @@ struct Element {
         if (it == attrs.end()) throw CodecError("soapx: missing attribute " + key);
         return it->second;
     }
-
-    /// Optional attribute: `fallback` when absent (reliability extension
-    /// attributes are only emitted when nonzero).
-    const std::string& attr_or(const std::string& key,
-                               const std::string& fallback) const {
-        auto it = attrs.find(key);
-        return it == attrs.end() ? fallback : it->second;
-    }
 };
+
+/// Strict number parse: the whole text must be one number in range for
+/// `T` — no sign on unsigned types, no whitespace, no trailing junk.
+template <typename T>
+T parse_number(std::string_view text, const char* what) {
+    T v{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        throw CodecError(std::string("soapx: bad ") + what + " \"" + std::string(text) +
+                         "\"");
+    return v;
+}
+
+// The deepest valid document: Envelope › Body › Request|Reply ›
+// arg|result|fault.  Anything deeper is rejected before it can recurse.
+constexpr int kMaxDepth = 4;
 
 // The scanner walks the wire bytes in place (string_view over the Bytes
 // payload) — decode no longer copies the document into a std::string
@@ -150,9 +160,10 @@ class Scanner {
 public:
     explicit Scanner(std::string_view text) : text_(text) {}
 
+    /// The document is exactly one root element: nothing may follow its
+    /// close tag, not even whitespace the encoder never writes.
     Element parse_document() {
-        Element root = parse_element();
-        skip_ws();
+        Element root = parse_element(1);
         if (pos_ != text_.size()) throw CodecError("soapx: trailing content");
         return root;
     }
@@ -168,7 +179,8 @@ private:
         throw CodecError("soapx: " + what + " at offset " + std::to_string(pos_));
     }
 
-    Element parse_element() {
+    Element parse_element(int depth) {
+        if (depth > kMaxDepth) fail("elements nested too deep");
         skip_ws();
         if (pos_ >= text_.size() || text_[pos_] != '<') fail("expected '<'");
         ++pos_;
@@ -205,7 +217,9 @@ private:
             const std::size_t start = pos_;
             while (pos_ < text_.size() && text_[pos_] != '"') ++pos_;
             if (pos_ >= text_.size()) fail("unterminated attribute");
-            el.attrs[key] = xml_unescape(text_.substr(start, pos_ - start));
+            if (!el.attrs.emplace(key, xml_unescape(text_.substr(start, pos_ - start)))
+                     .second)
+                fail("duplicate attribute " + key);
             ++pos_;
         }
         // Content: text and child elements until matching close tag.
@@ -225,7 +239,7 @@ private:
                     el.text = xml_unescape(el.text);
                     return el;
                 }
-                el.children.push_back(parse_element());
+                el.children.push_back(parse_element(depth + 1));
             } else {
                 el.text += text_[pos_++];
             }
@@ -241,17 +255,18 @@ MarshalledValue decode_value(const Element& el) {
     v.tag = tag_from_name(el.attr("type"));
     switch (v.tag) {
         case ValueTag::Null: break;
-        case ValueTag::Bool: v.b = el.text == "true"; break;
-        case ValueTag::Int:
-            v.i = static_cast<std::int32_t>(std::strtol(el.text.c_str(), nullptr, 10));
+        case ValueTag::Bool:
+            if (el.text != "true" && el.text != "false")
+                throw CodecError("soapx: bad bool \"" + el.text + "\"");
+            v.b = el.text == "true";
             break;
-        case ValueTag::Long: v.j = std::strtoll(el.text.c_str(), nullptr, 10); break;
-        case ValueTag::Double: v.d = std::strtod(el.text.c_str(), nullptr); break;
+        case ValueTag::Int: v.i = parse_number<std::int32_t>(el.text, "int"); break;
+        case ValueTag::Long: v.j = parse_number<std::int64_t>(el.text, "long"); break;
+        case ValueTag::Double: v.d = parse_number<double>(el.text, "double"); break;
         case ValueTag::Str: v.s = el.text; break;
         case ValueTag::Ref:
-            v.ref_node =
-                static_cast<std::int32_t>(std::strtol(el.attr("node").c_str(), nullptr, 10));
-            v.ref_oid = std::strtoull(el.attr("oid").c_str(), nullptr, 10);
+            v.ref_node = parse_number<std::int32_t>(el.attr("node"), "ref node");
+            v.ref_oid = parse_number<std::uint64_t>(el.attr("oid"), "ref oid");
             v.ref_class = el.attr("class");
             break;
     }
@@ -282,10 +297,6 @@ void SoapxCodec::encode_request_into(const CallRequest& req, ByteWriter& w) cons
     append_text(w, kind_name(req.kind));
     append_text(w, "\" id=\"");
     append_int(w, req.request_id);
-    append_text(w, "\" trace=\"");
-    append_int(w, req.trace_id);
-    append_text(w, "\" span=\"");
-    append_int(w, req.parent_span);
     append_text(w, "\" src=\"");
     append_int(w, req.src_node);
     append_text(w, "\" target=\"");
@@ -296,20 +307,11 @@ void SoapxCodec::encode_request_into(const CallRequest& req, ByteWriter& w) cons
     append_text(w, xml_escape(req.method));
     append_text(w, "\" desc=\"");
     append_text(w, xml_escape(req.desc));
-    append_text(w, "\"");
-    // Reliability attributes only appear when set, so base-protocol
-    // traffic keeps its original byte size (EXPERIMENTS.md E5).
-    if (req.attempt != 0) {
-        append_text(w, " attempt=\"");
-        append_int(w, req.attempt);
-        append_text(w, "\"");
-    }
-    if (req.deadline_us != 0) {
-        append_text(w, " deadline=\"");
-        append_int(w, req.deadline_us);
-        append_text(w, "\"");
-    }
-    append_text(w, ">");
+    append_text(w, "\" attempt=\"");
+    append_int(w, req.attempt);
+    append_text(w, "\" deadline=\"");
+    append_int(w, req.deadline_us);
+    append_text(w, "\">");
     for (const MarshalledValue& a : req.args) encode_value(w, "arg", a);
     append_text(w, "</Request></Body></Envelope>");
 }
@@ -318,22 +320,18 @@ CallRequest SoapxCodec::decode_request(const Bytes& data) const {
     Element envelope = Scanner(as_text(data)).parse_document();
     if (envelope.name != "Envelope") throw CodecError("soapx: expected <Envelope>");
     const Element& request = only_child(only_child(envelope, "Body"), "Request");
+    // Exactly the nine attributes the encoder writes; all are required.
+    if (request.attrs.size() != 9) throw CodecError("soapx: unexpected <Request> attribute");
     CallRequest req;
     req.kind = kind_from_name(request.attr("kind"));
-    req.request_id = std::strtoull(request.attr("id").c_str(), nullptr, 10);
-    req.trace_id = std::strtoull(request.attr("trace").c_str(), nullptr, 10);
-    req.parent_span = std::strtoull(request.attr("span").c_str(), nullptr, 10);
-    req.src_node =
-        static_cast<std::int32_t>(std::strtol(request.attr("src").c_str(), nullptr, 10));
-    req.target_oid = std::strtoull(request.attr("target").c_str(), nullptr, 10);
+    req.request_id = parse_number<std::uint64_t>(request.attr("id"), "id");
+    req.src_node = parse_number<std::int32_t>(request.attr("src"), "src");
+    req.target_oid = parse_number<std::uint64_t>(request.attr("target"), "target");
     req.cls = request.attr("class");
     req.method = request.attr("method");
     req.desc = request.attr("desc");
-    static const std::string kZero = "0";
-    req.attempt = static_cast<std::uint32_t>(
-        std::strtoul(request.attr_or("attempt", kZero).c_str(), nullptr, 10));
-    req.deadline_us =
-        std::strtoull(request.attr_or("deadline", kZero).c_str(), nullptr, 10);
+    req.attempt = parse_number<std::uint32_t>(request.attr("attempt"), "attempt");
+    req.deadline_us = parse_number<std::uint64_t>(request.attr("deadline"), "deadline");
     for (const Element& child : request.children) {
         if (child.name != "arg") throw CodecError("soapx: unexpected <" + child.name + ">");
         req.args.push_back(decode_value(child));
@@ -362,7 +360,7 @@ CallReply SoapxCodec::decode_reply(const Bytes& data) const {
     if (envelope.name != "Envelope") throw CodecError("soapx: expected <Envelope>");
     const Element& reply_el = only_child(only_child(envelope, "Body"), "Reply");
     CallReply reply;
-    reply.request_id = std::strtoull(reply_el.attr("id").c_str(), nullptr, 10);
+    reply.request_id = parse_number<std::uint64_t>(reply_el.attr("id"), "id");
     if (reply_el.children.size() != 1)
         throw CodecError("soapx: reply must have exactly one child");
     const Element& payload = reply_el.children[0];

@@ -60,10 +60,10 @@ std::vector<Span> spans_of(const Journal& journal) {
     // the visit).
     std::unordered_map<std::uint64_t, const JournalEvent*> last;
     auto open_span = [&](std::uint64_t id, const JournalEvent& e, std::string name,
-                         std::uint64_t parent_span) -> Span& {
+                         std::uint64_t parent) -> Span& {
         Span& s = spans[id];
         s.id = id;
-        s.parent = 2 * parent_span;
+        s.parent = 2 * parent;
         s.name = std::move(name);
         s.node = e.node;
         s.start_us = e.t_us;

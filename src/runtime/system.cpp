@@ -381,9 +381,9 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     pm.request_size->record(request_bytes.size());
     req.sim_wire_bytes += request_bytes.size();
     caller.advance_clock(codec_cost(request_bytes.size()).first);
-    req.sim_send_us = caller.clock_us();
+    const std::uint64_t send_us = caller.clock_us();
     if (journal_.enabled())
-        journal_.record(Kind::RpcSend, req.sim_send_us, src, dst, rid,
+        journal_.record(Kind::RpcSend, send_us, src, dst, rid,
                         request_bytes.size(),
                         req.stat_class.empty()
                             ? protocol
@@ -393,8 +393,8 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
 
     const net::Delivery inbound =
         coalesce ? network_.transfer_coalesced_at(src, dst, request_bytes.size(),
-                                                  req.sim_send_us)
-                 : network_.transfer_at(src, dst, request_bytes.size(), req.sim_send_us);
+                                                  send_us)
+                 : network_.transfer_at(src, dst, request_bytes.size(), send_us);
     if (inbound.delivered && coalesce) {
         if (++lane.entries == 1) batch_frames_->add();
         batch_coalesced_->add();
@@ -424,7 +424,6 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
                           std::to_string(dst),
                       /*executed_remotely=*/false};
     }
-    req.sim_arrival_us = inbound.at_us;
     // A request landing on a crashed node dies there — never executed.
     // (The caller observes the failure at the arrival time; a restarted
     // node first sheds its soft state, which is how reply-cache loss
@@ -445,10 +444,9 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     // The server cannot see the request before both its own prior work and
     // the wire delivery are done: clock reconciliation, join point one.
     callee.reconcile_clock(inbound.at_us);
-    net::CallRequest decoded = coalesce ? c.decode_batch_entry(request_bytes, entry_ctx)
-                                        : c.decode_request(request_bytes);
-    decoded.sim_send_us = req.sim_send_us;
-    decoded.sim_arrival_us = req.sim_arrival_us;
+    const net::CallRequest decoded = coalesce
+                                         ? c.decode_batch_entry(request_bytes, entry_ctx)
+                                         : c.decode_request(request_bytes);
     callee.advance_clock(codec_cost(request_bytes.size()).second);
 
     // Dispatch is charged on the destination node's clock; its guest code
@@ -458,7 +456,7 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     journal_.record(Kind::RpcDispatch, callee.clock_us(), dst, src, rid,
                     decoded.attempt,
                     decoded.kind == net::RequestKind::Invoke ? decoded.method : decoded.cls);
-    const net::CallReply reply = callee.handle_request(decoded, protocol);
+    const net::CallReply reply = callee.handle_request(decoded, protocol, inbound.at_us);
     journal_.record(Kind::RpcHandled, callee.clock_us(), dst, src, rid, 0);
 
     support::PooledBuffer reply_frame(buffer_pool_);

@@ -85,6 +85,8 @@ std::uint64_t ByteReader::varu64() {
     std::uint64_t v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
         std::uint8_t b = u8();
+        // The tenth byte holds bit 63 alone; anything more would be lost.
+        if (shift == 63 && b > 1) throw CodecError("varint overflows 64 bits");
         v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
         if (!(b & 0x80)) return v;
     }

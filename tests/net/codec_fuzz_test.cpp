@@ -2,11 +2,18 @@
 // reject a damaged frame with CodecError — never crash, never let another
 // exception type (std::bad_alloc from a corrupt count, std::out_of_range,
 // ...) escape.  For each protocol the suite damages valid request, reply
-// and RMIB batch-entry frames two ways:
+// and RMIB batch-entry frames three ways:
 //
 //   - truncation at every offset, which must always be rejected;
+//   - a random tail appended to an intact frame, which must always be
+//     rejected;
 //   - a fixed-seed set of 1–3 bit flips, which may still decode (the wire
 //     has no integrity check yet) but may only ever fail with CodecError.
+//
+// It also feeds every decoder fixed-seed random bodies: a random-length
+// prefix of a valid frame (often empty) followed by random bytes, drawn
+// either uniformly or from the frame's own bytes so text protocols see
+// plausible tokens.  Those may decode, but only CodecError may escape.
 //
 // The sanitize preset runs this suite under ASan+UBSan through ctest.
 #include <gtest/gtest.h>
@@ -27,6 +34,8 @@ namespace rafda::net {
 namespace {
 
 constexpr int kFlipMutantsPerFrame = 4000;
+constexpr int kTailsPerFrame = 200;
+constexpr int kRandomBodiesPerFrame = 2000;
 
 using Decode = std::function<void(const Bytes&)>;
 
@@ -53,7 +62,7 @@ std::vector<CallRequest> sample_requests() {
                    MarshalledValue::of_double(2.5),
                    MarshalledValue::of_int(-7)};
 
-    CallRequest retry = invoke;  // carries the reliability extension
+    CallRequest retry = invoke;  // nonzero reliability fields
     retry.attempt = 3;
     retry.deadline_us = 123'456'789ULL;
 
@@ -173,6 +182,44 @@ TEST_P(CodecFuzz, BitFlipsOnlyEverRaiseCodecError) {
     }
     EXPECT_EQ(escaped, 0u);
     // The flips really do reach the decoders' error paths.
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST_P(CodecFuzz, RandomTailsAreRejected) {
+    Rng rng(0x7A11);
+    for (const Frame& f : frames_of(*codec_)) {
+        for (int m = 0; m < kTailsPerFrame; ++m) {
+            Bytes extended = f.bytes;
+            const auto extra = 1 + rng.below(16);
+            for (std::uint64_t k = 0; k < extra; ++k)
+                extended.push_back(static_cast<std::uint8_t>(rng.below(256)));
+            EXPECT_EQ(decode_once(f, extended, "tail " + std::to_string(m)),
+                      Outcome::Rejected)
+                << f.name << " decoded with " << extra << " bytes appended";
+        }
+    }
+}
+
+TEST_P(CodecFuzz, RandomBodiesOnlyEverRaiseCodecError) {
+    Rng rng(0xB0D1);
+    std::size_t escaped = 0;
+    std::size_t rejected = 0;
+    for (const Frame& f : frames_of(*codec_)) {
+        for (int m = 0; m < kRandomBodiesPerFrame; ++m) {
+            const bool with_prefix = rng.chance(0.5);
+            const std::size_t keep = with_prefix ? rng.below(f.bytes.size() + 1) : 0;
+            Bytes body(f.bytes.begin(), f.bytes.begin() + static_cast<std::ptrdiff_t>(keep));
+            const bool from_frame = rng.chance(0.5);
+            const auto len = rng.below(2 * f.bytes.size() + 1);
+            for (std::uint64_t k = 0; k < len; ++k)
+                body.push_back(from_frame ? f.bytes[rng.below(f.bytes.size())]
+                                          : static_cast<std::uint8_t>(rng.below(256)));
+            const Outcome o = decode_once(f, body, "random body " + std::to_string(m));
+            escaped += o == Outcome::Escaped;
+            rejected += o == Outcome::Rejected;
+        }
+    }
+    EXPECT_EQ(escaped, 0u);
     EXPECT_GT(rejected, 0u);
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "net/codec.hpp"
 #include "net/rmib.hpp"
@@ -16,8 +20,6 @@ CallRequest sample_request() {
     CallRequest req;
     req.kind = RequestKind::Invoke;
     req.request_id = 42;
-    req.trace_id = 7001;
-    req.parent_span = 7002;
     req.src_node = 3;
     req.target_oid = 1234567890123ULL;
     req.cls = "";
@@ -94,47 +96,51 @@ TEST_P(BothCodecs, ReliabilityExtensionRoundTrips) {
     req.attempt = 3;
     req.deadline_us = 123'456'789ULL;
     EXPECT_EQ(codec_->decode_request(codec_->encode_request(req)), req);
-    // Each field alone also carries the extension.
     req.attempt = 0;
     EXPECT_EQ(codec_->decode_request(codec_->encode_request(req)), req);
     req.attempt = 1;
     req.deadline_us = 0;
     EXPECT_EQ(codec_->decode_request(codec_->encode_request(req)), req);
+    req.attempt = std::numeric_limits<std::uint32_t>::max();
+    req.deadline_us = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(codec_->decode_request(codec_->encode_request(req)), req);
 }
 
-TEST_P(BothCodecs, ReliabilityExtensionIsAbsentOnFirstAttempt) {
-    // The extension rides on the wire only when a request is a retry or
-    // carries a deadline, so fault-free experiments (E5 wire sizes) see
-    // exactly the legacy encoding: same size, and for SOAP no attribute
-    // text at all.
-    CallRequest req = sample_request();
-    const Bytes legacy = codec_->encode_request(req);
-    const std::string text(legacy.begin(), legacy.end());
-    EXPECT_EQ(text.find("attempt"), std::string::npos);
-    EXPECT_EQ(text.find("deadline"), std::string::npos);
-    req.attempt = 2;
-    req.deadline_us = 500;
-    EXPECT_GT(codec_->encode_request(req).size(), legacy.size());
+TEST_P(BothCodecs, EveryRequestUsesTheOneLayout) {
+    // A first attempt and a retry with a deadline share one framing: the
+    // same RMIB magic, a zero CORBX flags byte, and SOAPX attempt and
+    // deadline attributes on both.  Only the field values differ.
+    CallRequest first = sample_request();
+    CallRequest retry = first;
+    retry.attempt = 2;
+    retry.deadline_us = 500;
+    for (const CallRequest& req : {first, retry}) {
+        const Bytes wire = codec_->encode_request(req);
+        const std::string proto = codec_->protocol();
+        if (proto == "RMI") {
+            EXPECT_EQ(wire.at(0), 0xA1);
+        } else if (proto == "CORBA") {
+            // CRBX header: magic(4) ver(2) type(1) flags(1).
+            EXPECT_EQ(wire.at(7), 0x00);
+        } else {
+            const std::string text(wire.begin(), wire.end());
+            EXPECT_NE(text.find(" attempt=\""), std::string::npos);
+            EXPECT_NE(text.find(" deadline=\""), std::string::npos);
+        }
+    }
 }
 
-TEST_P(BothCodecs, NewEncoderKeepsLegacyFramingWithoutExtension) {
-    // The other compatibility direction: a request without the extension
-    // must leave the *new* encoder in the original framing, so a legacy
-    // decoder (which knows nothing of attempt/deadline) would accept it.
-    CallRequest req = sample_request();
-    ASSERT_EQ(req.attempt, 0u);
-    ASSERT_EQ(req.deadline_us, 0u);
-    const Bytes wire = codec_->encode_request(req);
-    const std::string proto = codec_->protocol();
-    if (proto == "RMI") {
-        EXPECT_EQ(wire.at(0), 0xA1);  // plain request magic, not 0xA3/0xA4
-    } else if (proto == "CORBA") {
-        // CRBX header: magic(4) ver(2) type(1) flags(1) — reliable bit off.
-        EXPECT_EQ(wire.at(7), 0x00);
-    } else {
-        const std::string text(wire.begin(), wire.end());
-        EXPECT_EQ(text.find("attempt"), std::string::npos);
-        EXPECT_EQ(text.find("deadline"), std::string::npos);
+TEST_P(BothCodecs, RejectsTrailingBytes) {
+    const CallRequest req = sample_request();
+    for (std::size_t extra : {1, 2, 4}) {
+        Bytes request = codec_->encode_request(req);
+        Bytes reply = codec_->encode_reply(CallReply{});
+        for (std::size_t k = 0; k < extra; ++k) {
+            request.push_back(k == 0 ? '<' : 0x00);
+            reply.push_back(k == 0 ? '<' : 0x00);
+        }
+        EXPECT_THROW(codec_->decode_request(request), CodecError) << extra;
+        EXPECT_THROW(codec_->decode_reply(reply), CodecError) << extra;
     }
 }
 
@@ -199,49 +205,121 @@ TEST(Codecs, CorbxStringLengthBeyondFrameIsCodecError) {
     EXPECT_THROW(codec->decode_request(with_huge_u32_at_back(*codec, 8)), CodecError);
 }
 
-TEST(Codecs, LegacyRmibBytesDecodeWithZeroReliabilityDefaults) {
-    // A frame hand-assembled in the original 0xA1 layout (no extension
-    // words) must decode on the current decoder with attempt/deadline 0.
-    ByteWriter w;
-    w.u8(0xA1);                     // legacy request magic
-    w.u8(0);                        // kind = Invoke
-    w.u64(42);                      // request_id
-    w.u64(0);                       // trace_id
-    w.u64(0);                       // parent_span
-    w.i32(3);                       // src_node
-    w.u64(77);                      // target_oid
-    w.str("");                      // cls
-    w.str("m");                     // method
-    w.str("()V");                   // desc
-    w.u32(0);                       // nargs
-    CallRequest req = RmibCodec().decode_request(w.take());
-    EXPECT_EQ(req.request_id, 42u);
-    EXPECT_EQ(req.src_node, 3);
-    EXPECT_EQ(req.method, "m");
-    EXPECT_EQ(req.attempt, 0u);
-    EXPECT_EQ(req.deadline_us, 0u);
+TEST(Codecs, RmibRejectsAnyOtherRequestMagic) {
+    // 0xA1 is the only request magic; 0xA4 is a batch entry, which only
+    // decodes against its frame's context.
+    Bytes wire = RmibCodec().encode_request(sample_request());
+    for (std::uint8_t magic : {0xA2, 0xA3, 0xA4, 0x00}) {
+        wire[0] = magic;
+        EXPECT_THROW(RmibCodec().decode_request(wire), CodecError) << int(magic);
+    }
 }
 
-TEST(Codecs, LegacySoapBytesDecodeWithZeroReliabilityDefaults) {
-    // A hand-written legacy envelope (no attempt/deadline attributes)
-    // against the current decoder: the extension defaults to zero.
-    const std::string xml =
-        "<Envelope><Body><Request kind=\"invoke\" id=\"9\" trace=\"0\" span=\"0\""
-        " src=\"1\" target=\"5\" class=\"\" method=\"m\" desc=\"(I)I\">"
-        "<arg type=\"int\">-3</arg></Request></Body></Envelope>";
-    CallRequest req = SoapxCodec().decode_request(Bytes(xml.begin(), xml.end()));
-    EXPECT_EQ(req.request_id, 9u);
-    EXPECT_EQ(req.attempt, 0u);
-    EXPECT_EQ(req.deadline_us, 0u);
-    ASSERT_EQ(req.args.size(), 1u);
-    EXPECT_EQ(req.args[0].i, -3);
+TEST(Codecs, CorbxRejectsNonZeroHeaderFlags) {
+    const auto codec = make_codec("CORBA");
+    Bytes wire = codec->encode_request(sample_request());
+    for (std::uint8_t flags : {0x01, 0x02, 0x80}) {
+        wire[7] = flags;
+        EXPECT_THROW(codec->decode_request(wire), CodecError) << int(flags);
+    }
+}
+
+/// SOAPX request text with `attrs` on the <Request> element.
+Bytes soap_request_with(const std::string& attrs) {
+    const std::string xml = "<Envelope><Body><Request " + attrs +
+                            "><arg type=\"int\">-3</arg></Request></Body></Envelope>";
+    return Bytes(xml.begin(), xml.end());
+}
+
+const std::string kSoapBase =
+    "kind=\"invoke\" id=\"9\" src=\"1\" target=\"5\" class=\"\" method=\"m\" "
+    "desc=\"(I)I\"";
+
+TEST(Codecs, SoapRequiresAttemptAndDeadline) {
+    SoapxCodec soapx;
+    EXPECT_NO_THROW(
+        soapx.decode_request(soap_request_with(kSoapBase + " attempt=\"0\" deadline=\"0\"")));
+    EXPECT_THROW(soapx.decode_request(soap_request_with(kSoapBase)), CodecError);
+    EXPECT_THROW(soapx.decode_request(soap_request_with(kSoapBase + " attempt=\"0\"")),
+                 CodecError);
+    EXPECT_THROW(soapx.decode_request(soap_request_with(kSoapBase + " deadline=\"0\"")),
+                 CodecError);
+    // Attributes the encoder never writes are rejected too.
+    EXPECT_THROW(soapx.decode_request(soap_request_with(
+                     kSoapBase + " trace=\"0\" span=\"0\" attempt=\"0\" deadline=\"0\"")),
+                 CodecError);
+    // Nor may an attribute appear twice.
+    EXPECT_THROW(soapx.decode_request(soap_request_with(
+                     kSoapBase + " attempt=\"0\" deadline=\"0\" id=\"10\"")),
+                 CodecError);
+}
+
+TEST(Codecs, SoapNumbersAreParsedStrictly) {
+    SoapxCodec soapx;
+    const std::string tail = " attempt=\"0\" deadline=\"0\"";
+    auto with = [&](const std::string& key, const std::string& value) {
+        std::string attrs = kSoapBase + tail;
+        const std::string needle = " " + key + "=\"";
+        const std::size_t at = attrs.find(needle) + needle.size();
+        attrs.replace(at, attrs.find('"', at) - at, value);
+        return soap_request_with(attrs);
+    };
+    EXPECT_EQ(soapx.decode_request(with("id", "7")).request_id, 7u);
+    for (const auto& [key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"id", "x7"}, {"id", "7x"}, {"id", ""}, {"id", "-1"}, {"id", " 7"},
+             {"id", "18446744073709551616"}, {"src", "-3zz"}, {"src", "2147483648"},
+             {"target", "+5"}, {"attempt", "4294967296"}, {"deadline", "1e3"}})
+        EXPECT_THROW(soapx.decode_request(with(key, value)), CodecError)
+            << key << "=\"" << value << '"';
+
+    auto reply_with = [](const std::string& id, const std::string& result) {
+        const std::string xml = "<Envelope><Body><Reply id=\"" + id + "\">" + result +
+                                "</Reply></Body></Envelope>";
+        return Bytes(xml.begin(), xml.end());
+    };
+    EXPECT_EQ(soapx.decode_reply(reply_with("3", "<result type=\"bool\">false</result>"))
+                  .result,
+              MarshalledValue::of_bool(false));
+    for (const std::string& bad :
+         {std::string("<result type=\"bool\">yes</result>"),
+          std::string("<result type=\"bool\">TRUE</result>"),
+          std::string("<result type=\"int\">12abc</result>"),
+          std::string("<result type=\"int\">2147483648</result>"),
+          std::string("<result type=\"long\">9223372036854775808</result>"),
+          std::string("<result type=\"double\">1.5.2</result>"),
+          std::string("<result type=\"double\">1e999</result>"),
+          std::string("<result type=\"ref\" node=\"1x\" oid=\"2\" class=\"C\"></result>"),
+          std::string("<result type=\"ref\" node=\"1\" oid=\"-2\" class=\"C\"></result>")})
+        EXPECT_THROW(soapx.decode_reply(reply_with("3", bad)), CodecError) << bad;
+    EXPECT_THROW(soapx.decode_reply(reply_with("3z", "<result type=\"null\"></result>")),
+                 CodecError);
+}
+
+TEST(Codecs, SoapDeepNestingIsCodecError) {
+    // The parser recurses once per level, so without a depth bound this
+    // frame overflows the stack; the bound rejects it at level 5.
+    constexpr int kLevels = 100'000;
+    std::string xml;
+    xml.reserve(7 * kLevels);
+    for (int k = 0; k < kLevels; ++k) xml += "<a>";
+    for (int k = 0; k < kLevels; ++k) xml += "</a>";
+    const Bytes wire(xml.begin(), xml.end());
+    SoapxCodec soapx;
+    EXPECT_THROW(soapx.decode_request(wire), CodecError);
+    EXPECT_THROW(soapx.decode_reply(wire), CodecError);
+    // A value element with a child is one level past the deepest valid
+    // frame.
+    EXPECT_THROW(soapx.decode_request(soap_request_with(
+                     kSoapBase + " attempt=\"0\" deadline=\"0\"><arg type=\"null\"><x/></arg")),
+                 CodecError);
 }
 
 TEST(Codecs, SoapExtensionAttributesDecode) {
-    // And the forward direction as raw text: attributes written by the
-    // new encoder carry through a decode of the literal document.
+    // The reliability attributes carry through a decode of the literal
+    // document.
     const std::string xml =
-        "<Envelope><Body><Request kind=\"invoke\" id=\"9\" trace=\"0\" span=\"0\""
+        "<Envelope><Body><Request kind=\"invoke\" id=\"9\""
         " src=\"1\" target=\"5\" class=\"\" method=\"m\" desc=\"()V\""
         " attempt=\"4\" deadline=\"123456\"></Request></Body></Envelope>";
     CallRequest req = SoapxCodec().decode_request(Bytes(xml.begin(), xml.end()));
@@ -253,7 +331,7 @@ TEST(Codecs, SoapExtensionAttributesDecode) {
 
 TEST(RmibBatch, EntryRoundTripsAgainstItsContext) {
     RmibCodec rmib;
-    CallRequest req = sample_request();  // trace ids set -> traced flag
+    CallRequest req = sample_request();
     BatchContext ctx{req.src_node, 40};  // id 42 -> delta 2
     ByteWriter w;
     rmib.encode_batch_entry(req, ctx, w);
@@ -265,25 +343,22 @@ TEST(RmibBatch, EntryRoundTripsAgainstItsContext) {
     EXPECT_LT(wire.size(), rmib.encode_request(req).size());
 }
 
-TEST(RmibBatch, UntracedUnreliableEntryOmitsBothExtensions) {
+TEST(RmibBatch, ReliabilityFieldsAreVarints) {
     RmibCodec rmib;
     CallRequest req = sample_request();
-    req.trace_id = req.parent_span = 0;
     BatchContext ctx{req.src_node, req.request_id};  // delta 0
     ByteWriter w;
     rmib.encode_batch_entry(req, ctx, w);
-    Bytes lean = w.take();
-    EXPECT_EQ(lean.at(1), 0x00);  // flags byte: no reliable, no trace
-    EXPECT_EQ(rmib.decode_batch_entry(lean, ctx), req);
+    const Bytes first = w.take();
+    EXPECT_EQ(rmib.decode_batch_entry(first, ctx), req);
 
-    req.attempt = 3;
-    req.deadline_us = 9999;
+    req.attempt = 3;         // one varint byte, as 0 was
+    req.deadline_us = 9999;  // two varint bytes instead of one
     ByteWriter w2;
     rmib.encode_batch_entry(req, ctx, w2);
-    Bytes reliable = w2.take();
-    EXPECT_EQ(reliable.at(1), 0x01);  // reliable flag alone
-    EXPECT_EQ(reliable.size(), lean.size() + 12);  // u32 attempt + u64 deadline
-    EXPECT_EQ(rmib.decode_batch_entry(reliable, ctx), req);
+    const Bytes retry = w2.take();
+    EXPECT_EQ(retry.size(), first.size() + 1);
+    EXPECT_EQ(rmib.decode_batch_entry(retry, ctx), req);
 }
 
 TEST(RmibBatch, DecodeRequestRejectsBatchEntry) {
@@ -307,20 +382,13 @@ TEST(RmibBatch, EncodeValidatesAgainstContext) {
     EXPECT_THROW(rmib.encode_batch_entry(req, later_base, w), CodecError);
 }
 
-TEST(RmibBatch, DecodeRejectsUnknownFlagsAndTrailingBytes) {
+TEST(RmibBatch, DecodeRejectsTrailingBytes) {
     RmibCodec rmib;
     CallRequest req = sample_request();
-    req.trace_id = req.parent_span = 0;
     BatchContext ctx{req.src_node, req.request_id};
     ByteWriter w;
     rmib.encode_batch_entry(req, ctx, w);
-    Bytes wire = w.take();
-
-    Bytes bad_flags = wire;
-    bad_flags[1] = 0x04;  // not a defined entry flag
-    EXPECT_THROW(rmib.decode_batch_entry(bad_flags, ctx), CodecError);
-
-    Bytes trailing = wire;
+    Bytes trailing = w.take();
     trailing.push_back(0xff);
     EXPECT_THROW(rmib.decode_batch_entry(trailing, ctx), CodecError);
 }
@@ -391,13 +459,6 @@ TEST(Codecs, SoapRejectsGarbage) {
     EXPECT_THROW(soapx.decode_request(Bytes(junk.begin(), junk.end())), CodecError);
     std::string wrong = "<Envelope><Body><Nope></Nope></Body></Envelope>";
     EXPECT_THROW(soapx.decode_request(Bytes(wrong.begin(), wrong.end())), CodecError);
-}
-
-TEST(Codecs, RmibRejectsTrailingBytes) {
-    RmibCodec rmib;
-    Bytes b = rmib.encode_reply(CallReply{});
-    b.push_back(0xff);
-    EXPECT_THROW(rmib.decode_reply(b), CodecError);
 }
 
 TEST(Codecs, MakeCodecUnknownProtocol) {

@@ -132,6 +132,12 @@ TEST(Bytes, VaruRejectsOverlongEncoding) {
     Bytes overlong(11, 0x80);
     ByteReader r(overlong);
     EXPECT_THROW(r.varu64(), CodecError);
+    // Ten bytes whose last one sets bits above bit 63: the value would
+    // silently lose them.
+    Bytes overflow(9, 0xFF);
+    overflow.push_back(0x02);
+    ByteReader r2(overflow);
+    EXPECT_THROW(r2.varu64(), CodecError);
 }
 
 TEST(Bytes, BorrowingWriterClearsAndKeepsCapacity) {

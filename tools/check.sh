@@ -99,6 +99,29 @@ case " $presets " in
     [ "$e6_adaptive" -lt "$e6_pinned1" ]
     echo "adaptation shape OK: adaptive $e6_adaptive us < pinned $e6_pinned0 / $e6_pinned1 us"
 
+    # Wire shape (gating): E5's per-call wire bytes must order the
+    # protocols RMI < CORBA < SOAP, and E12's batched run must send fewer
+    # bytes per call than the unbatched one while returning the same
+    # results and staying exactly-once under faults.  SOAP's figure is
+    # fractional, so python3 does the comparisons.
+    echo "== wire shape (E5 E12) =="
+    python3 - BENCH_E5.json BENCH_E12.json <<'PYEOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    e5 = json.load(f)
+with open(sys.argv[2]) as f:
+    e12 = json.load(f)
+rmi, corba, soap = (e5[p + "_wire_bytes_per_call"] for p in ("RMI", "CORBA", "SOAP"))
+assert rmi < corba < soap, f"E5: want RMI < CORBA < SOAP, got {rmi} / {corba} / {soap}"
+batched = e12["batched_wire_bytes_per_call"]
+unbatched = e12["unbatched_wire_bytes_per_call"]
+assert batched < unbatched, f"E12: batched {batched} >= unbatched {unbatched} B/call"
+assert e12["identical_results"] == 1, "E12: batching changed results"
+assert e12["faulty_exactly_once"] == 1, "E12: not exactly-once under faults"
+print(f"wire shape OK: E5 {rmi} < {corba} < {soap} B/call; "
+      f"E12 batched {batched} < unbatched {unbatched} B/call")
+PYEOF
+
     # Scheduler determinism contract (gating): the event-heap refactor's
     # headline claim — dispatch order is a pure function of workload and
     # seed — is recorded by E13's summary fields.  Promote them from
