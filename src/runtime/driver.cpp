@@ -9,21 +9,36 @@
 
 namespace rafda::runtime {
 
-void WorkloadDriver::add_client(net::NodeId node, std::vector<Task> tasks) {
-    for (Client& c : clients_) {
-        if (c.node != node) continue;
-        c.tasks.insert(c.tasks.end(), std::make_move_iterator(tasks.begin()),
-                       std::make_move_iterator(tasks.end()));
-        return;
+void WorkloadDriver::Client::append(Task task, std::size_t count) {
+    if (count == 0) return;
+    runs.push_back(Run{std::move(task), count});
+    queued += count;
+}
+
+WorkloadDriver::Task& WorkloadDriver::Client::advance() {
+    Task& task = runs[run].task;
+    if (++in_run == runs[run].count) {
+        ++run;
+        in_run = 0;
     }
-    clients_.push_back(Client{node, std::move(tasks), 0, 0, 0});
+    return task;
+}
+
+WorkloadDriver::Client& WorkloadDriver::client_for(net::NodeId node) {
+    for (Client& c : clients_)
+        if (c.node == node) return c;
+    clients_.emplace_back();
+    clients_.back().node = node;
+    return clients_.back();
+}
+
+void WorkloadDriver::add_client(net::NodeId node, std::vector<Task> tasks) {
+    Client& c = client_for(node);
+    for (Task& t : tasks) c.append(std::move(t), 1);
 }
 
 void WorkloadDriver::add_client(net::NodeId node, std::size_t count, Task task) {
-    std::vector<Task> tasks;
-    tasks.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) tasks.push_back(task);
-    add_client(node, std::move(tasks));
+    client_for(node).append(std::move(task), count);
 }
 
 void WorkloadDriver::add_fleet(std::vector<net::NodeId> nodes,
@@ -123,14 +138,13 @@ WorkloadDriver::Report WorkloadDriver::run() {
     const std::uint32_t kClientStep = heap.register_handler([&](const Event& e) {
         Client& c = clients_[static_cast<std::size_t>(e.a)];
         Node& node = system_->node(c.node);
-        const std::size_t burst =
-            std::min(pipeline_depth_, c.tasks.size() - c.next);
+        const std::size_t burst = std::min(pipeline_depth_, c.queued - c.next);
         if (burst > 1) node.set_pipeline(true);
         const std::uint64_t t0 = node.clock_us();
         for (std::size_t b = 0; b < burst; ++b) {
             const std::uint64_t retries_before = retries.value();
             try {
-                c.tasks[c.next](*system_, c.node);
+                c.advance()(*system_, c.node);
                 if (retries.value() != retries_before) ++c.recovered;
             } catch (const vm::GuestException& ex) {
                 ++c.faults;
@@ -145,7 +159,7 @@ WorkloadDriver::Report WorkloadDriver::run() {
         }
         if (burst > 1) node.set_pipeline(false);
         latencies.push_back(node.clock_us() - t0);
-        if (c.next < c.tasks.size())
+        if (c.next < c.queued)
             heap.post(vclock ? node.clock_us() : e.at_us + 1, c.node, e.kind,
                       e.a);
     });
@@ -215,7 +229,7 @@ WorkloadDriver::Report WorkloadDriver::run() {
     // at round 0 and the tie-break sequence reproduces the legacy
     // client-iteration order exactly.
     for (std::size_t i = 0; i < clients_.size(); ++i) {
-        if (clients_[i].tasks.empty()) continue;
+        if (clients_[i].queued == 0) continue;
         heap.post(vclock ? system_->node(clients_[i].node).clock_us() : 0,
                   clients_[i].node, kClientStep, i);
     }
@@ -296,8 +310,11 @@ WorkloadDriver::Report WorkloadDriver::run() {
         report.end_us = std::max(report.end_us, cr.end_us);
         // Consumed queues reset so a subsequent add_client + run() starts
         // a fresh window for this client.
-        c.tasks.clear();
+        c.runs.clear();
+        c.queued = 0;
         c.next = 0;
+        c.run = 0;
+        c.in_run = 0;
         c.faults = 0;
         c.recovered = 0;
     }

@@ -57,9 +57,11 @@ public:
 
     explicit WorkloadDriver(System& system) : system_(&system) {}
 
-    /// Appends a client with an ordered queue of invocations.
+    /// Appends a client with an ordered queue of invocations (or, for a
+    /// node that already has one, appends to its queue).
     void add_client(net::NodeId node, std::vector<Task> tasks);
-    /// Convenience: `count` repetitions of the same invocation.
+    /// Convenience: `count` repetitions of the same invocation, stored
+    /// once however large `count` is.
     void add_client(net::NodeId node, std::size_t count, Task task);
 
     /// Bulk registration for scale runs: `clients` lightweight clients
@@ -151,12 +153,24 @@ public:
     Report run();
 
 private:
+    /// `count` consecutive issues of one task: one queue segment.
+    struct Run {
+        Task task;
+        std::size_t count = 0;
+    };
     struct Client {
         net::NodeId node = 0;
-        std::vector<Task> tasks;
-        std::size_t next = 0;
+        std::vector<Run> runs;  // the queue, in order
+        std::size_t queued = 0;  // tasks over all runs
+        std::size_t next = 0;    // tasks issued so far
+        std::size_t run = 0;     // cursor: runs[run] issues next...
+        std::size_t in_run = 0;  // ...having issued this many already
         std::uint64_t faults = 0;
         std::uint64_t recovered = 0;
+
+        void append(Task task, std::size_t count);
+        /// Issues the next queued task.
+        Task& advance();
     };
     struct Fleet {
         std::vector<net::NodeId> nodes;
@@ -164,6 +178,9 @@ private:
         std::uint32_t tasks_each = 0;
         Task task;
     };
+
+    /// The client of `node`, created (empty) on first use.
+    Client& client_for(net::NodeId node);
 
     System* system_;
     std::vector<Client> clients_;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "model/assembler.hpp"
 #include "model/verifier.hpp"
@@ -37,6 +38,23 @@ model::ClassPool prepare_pool(const model::ClassPool& original) {
         model::assemble_into(prepared, kRemoteFaultRir);
     return prepared;
 }
+
+/// What one proxy dispatcher memoizes about its proxy class: the slots of
+/// the target-id and target-node fields, and per method its descriptor and
+/// latency histogram (resolved on the first remote call).  Valid for one
+/// (proxy class, pool generation); a new generation may recycle Method
+/// addresses, so it drops the per-method entries too.
+struct ProxyCache {
+    struct MethodEntry {
+        std::string desc;
+        obs::Histogram* latency = nullptr;
+    };
+    std::uint64_t gen = 0;  // pools start at generation 1
+    const model::ClassFile* cls = nullptr;
+    std::size_t oid_slot = 0;
+    std::size_t node_slot = 0;
+    std::unordered_map<const model::Method*, MethodEntry> methods;
+};
 
 }  // namespace
 
@@ -592,14 +610,14 @@ void System::wire_node(Node& n) {
         // Proxy dispatch: one class-level native per generated proxy class.
         // Each dispatcher caches its class's registry handles (one
         // calls/bytes counter pair per remote edge, one latency histogram
-        // per method, one counter for loopback) so the hot path never
-        // builds a metric name.
+        // per method, one counter for loopback) and the proxy's field slots
+        // and method descriptors, so the hot path never builds a metric
+        // name, a descriptor or a layout key.
         for (const std::string& proto : result_.report.protocols()) {
             auto dispatch = [this, node_id, proto, cls,
                              edge_counters = std::map<net::NodeId, obs::Counter*>{},
                              byte_counters = std::map<net::NodeId, obs::Counter*>{},
-                             latency_hists =
-                                 std::map<std::string, obs::Histogram*>{},
+                             proxy = ProxyCache{},
                              local_counter = static_cast<obs::Counter*>(nullptr)](
                                 vm::Interpreter& vm, const model::Method& m,
                                 const Value& receiver,
@@ -609,12 +627,25 @@ void System::wire_node(Node& n) {
                 req.kind = net::RequestKind::Invoke;
                 req.request_id = next_request_id();
                 req.src_node = node_id;
-                req.target_oid = static_cast<std::uint64_t>(
-                    vm.get_field(receiver.as_ref(), naming::kProxyOidField).as_long());
-                std::int32_t target_node =
-                    vm.get_field(receiver.as_ref(), naming::kProxyNodeField).as_int();
+                const vm::Object& obj = vm.heap().get(receiver.as_ref());
+                const std::uint64_t gen = vm.pool().generation();
+                if (proxy.gen != gen || proxy.cls != obj.cls) {
+                    if (proxy.gen != gen) proxy.methods.clear();
+                    const model::Layout& layout = vm.pool().layout_of(obj.cls->name);
+                    proxy.oid_slot =
+                        static_cast<std::size_t>(layout.index_of(naming::kProxyOidField));
+                    proxy.node_slot =
+                        static_cast<std::size_t>(layout.index_of(naming::kProxyNodeField));
+                    proxy.cls = obj.cls;
+                    proxy.gen = gen;
+                }
+                req.target_oid =
+                    static_cast<std::uint64_t>(obj.fields[proxy.oid_slot].as_long());
+                std::int32_t target_node = obj.fields[proxy.node_slot].as_int();
+                ProxyCache::MethodEntry& entry = proxy.methods[&m];
+                if (entry.desc.empty()) entry.desc = m.descriptor();
                 req.method = m.name;
-                req.desc = m.descriptor();
+                req.desc = entry.desc;
                 const obs::SpanScope span(
                     journal_, &self.clock_us(), node_id,
                     [&] { return "rpc.invoke " + cls + "." + m.name; }, target_node,
@@ -635,7 +666,7 @@ void System::wire_node(Node& n) {
                                                 req.target_oid, *rep);
                             adapt_replica_reads_->add();
                             return vm.call_virtual(Value::of_ref(rep->oid),
-                                                   m.name, m.descriptor(),
+                                                   m.name, entry.desc,
                                                    std::move(args));
                         }
                     } else {
@@ -651,7 +682,7 @@ void System::wire_node(Node& n) {
                             &metrics_.counter("runtime.local_calls." + cls);
                     local_counter->add();
                     return vm.call_virtual(Value::of_ref(req.target_oid), m.name,
-                                           m.descriptor(), std::move(args));
+                                           entry.desc, std::move(args));
                 }
                 obs::Counter*& edge = edge_counters[target_node];
                 obs::Counter*& edge_bytes = byte_counters[target_node];
@@ -665,9 +696,11 @@ void System::wire_node(Node& n) {
                     edge_bytes = bytes_ctr;
                 }
                 edge->add();
-                obs::Histogram*& lat = latency_hists[m.name];
-                if (!lat)
-                    lat = &metrics_.histogram("rpc.latency." + cls + "." + m.name);
+                // Copied out: the rpc below may re-enter this dispatcher.
+                if (!entry.latency)
+                    entry.latency =
+                        &metrics_.histogram("rpc.latency." + cls + "." + m.name);
+                obs::Histogram* const lat = entry.latency;
                 req.stat_class = cls;
                 req.args.reserve(args.size());
                 for (const Value& a : args) req.args.push_back(self.export_value(a));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <tuple>
 
@@ -22,6 +23,9 @@ using model::Op;
 
 namespace {
 constexpr int kMaxCallDepth = 2000;
+/// Slots of the first value-stack segment (5 KiB): enough for every
+/// frame of the RPC workloads; deeper guest recursion opens more.
+constexpr std::size_t kFirstSegmentSlots = 128;
 
 std::string native_key(const std::string& owner, const std::string& name,
                        const std::string& desc) {
@@ -29,7 +33,11 @@ std::string native_key(const std::string& owner, const std::string& name,
 }
 }  // namespace
 
-Interpreter::Interpreter(const model::ClassPool& pool) : pool_(&pool) {}
+Interpreter::Interpreter(const model::ClassPool& pool) : pool_(&pool) {
+    segments_.push_back(
+        StackSegment{std::make_unique<Value[]>(kFirstSegmentSlots), kFirstSegmentSlots});
+    top_ = segments_.front().begin();
+}
 
 Interpreter::~Interpreter() {
     if (metrics_) metrics_->remove_probes_with_prefix(metrics_prefix_ + ".");
@@ -92,7 +100,8 @@ void Interpreter::throw_guest(Value thrown) {
     throw GuestThrow{std::move(thrown)};
 }
 
-Value Interpreter::at_api_boundary(const std::function<Value()>& body) {
+template <class Body>
+Value Interpreter::at_api_boundary(Body&& body) {
     try {
         return body();
     } catch (GuestThrow& gt) {
@@ -107,10 +116,12 @@ Value Interpreter::at_api_boundary(const std::function<Value()>& body) {
 void Interpreter::register_native(const std::string& owner, const std::string& name,
                                   const std::string& desc, NativeFn fn) {
     natives_[native_key(owner, name, desc)] = std::move(fn);
+    ++natives_epoch_;
 }
 
 void Interpreter::register_class_native(const std::string& owner, ClassNativeFn fn) {
     class_natives_[owner] = std::move(fn);
+    ++natives_epoch_;
 }
 
 ObjId Interpreter::allocate(const std::string& class_name) {
@@ -129,54 +140,46 @@ ObjId Interpreter::allocate_with(const ClassFile& cls, const model::Layout& layo
 
 Value Interpreter::construct(const std::string& class_name, const std::string& ctor_desc,
                              std::vector<Value> args) {
-    return at_api_boundary([&] { return construct_impl(class_name, ctor_desc, std::move(args)); });
+    return at_api_boundary([&] { return construct_impl(class_name, ctor_desc, args); });
 }
 
 Value Interpreter::construct_impl(const std::string& class_name, const std::string& ctor_desc,
-                                  std::vector<Value> args) {
+                                  std::vector<Value>& args) {
     ensure_initialized(class_name);
     ObjId id = allocate(class_name);
     const ClassFile& cls = pool_->get(class_name);
     const Method* ctor = cls.find_method("<init>", ctor_desc);
     if (!ctor) throw VmError("no constructor " + class_name + ".<init>" + ctor_desc);
-    std::vector<Value> locals;
-    locals.reserve(args.size() + 1);
-    locals.push_back(Value::of_ref(id));
-    for (Value& a : args) locals.push_back(std::move(a));
-    invoke(cls, *ctor, std::move(locals));
-    return Value::of_ref(id);
+    const Value self = Value::of_ref(id);
+    invoke_api(cls, *ctor, &self, args);
+    return self;
 }
 
 Value Interpreter::call_static(const std::string& owner, const std::string& name,
                                const std::string& desc, std::vector<Value> args) {
-    return at_api_boundary([&] { return call_static_impl(owner, name, desc, std::move(args)); });
+    return at_api_boundary([&] { return call_static_impl(owner, name, desc, args); });
 }
 
 Value Interpreter::call_static_impl(const std::string& owner, const std::string& name,
-                                    const std::string& desc, std::vector<Value> args) {
+                                    const std::string& desc, std::vector<Value>& args) {
     ensure_initialized(owner);
     const Method* m = pool_->resolve_static(owner, name, desc);
     if (!m) throw VmError("unresolved static method " + owner + "." + name + desc);
     ++counters_.invokes_static;
-    return invoke(pool_->get(owner), *m, std::move(args));
+    return invoke_api(pool_->get(owner), *m, nullptr, args);
 }
 
 Value Interpreter::call_virtual(const Value& receiver, const std::string& name,
                                 const std::string& desc, std::vector<Value> args) {
-    return at_api_boundary(
-        [&] { return call_virtual_impl(receiver, name, desc, std::move(args)); });
+    return at_api_boundary([&] { return call_virtual_impl(receiver, name, desc, args); });
 }
 
 Value Interpreter::call_virtual_impl(const Value& receiver, const std::string& name,
-                                     const std::string& desc, std::vector<Value> args) {
+                                     const std::string& desc, std::vector<Value>& args) {
     const ClassFile& dyn = class_of(receiver.as_ref());
     const Method& m = resolve_virtual_cached(dyn.name, name, desc);
     ++counters_.invokes_virtual;
-    std::vector<Value> locals;
-    locals.reserve(args.size() + 1);
-    locals.push_back(receiver);
-    for (Value& a : args) locals.push_back(std::move(a));
-    return invoke(dyn, m, std::move(locals));
+    return invoke_api(dyn, m, &receiver, args);
 }
 
 Value Interpreter::get_static_field(const std::string& owner, const std::string& field) {
@@ -235,7 +238,8 @@ void Interpreter::ensure_initialized(const std::string& class_name) {
     // Initialise the superclass first, JVM-style.
     if (!cls.super_name.empty()) ensure_initialized(cls.super_name);
     if (const Method* clinit = cls.find_method("<clinit>", "()V")) {
-        invoke(cls, *clinit, {});
+        std::vector<Value> no_args;
+        invoke_api(cls, *clinit, nullptr, no_args);
     }
     initializing_.erase(class_name);
     initialized_.insert(class_name);
@@ -307,53 +311,163 @@ const Method& Interpreter::resolve_virtual_cached(const std::string& dynamic,
         vcache_.clear();
         vcache_gen_ = cache_gen();
     }
-    std::string key = dynamic;
-    key += '#';
-    key += name;
-    key += desc;
-    auto it = vcache_.find(key);
+    // The key buffer is reused: once its capacity covers the longest key,
+    // a lookup allocates nothing.
+    vkey_.assign(dynamic);
+    vkey_ += '#';
+    vkey_ += name;
+    vkey_ += desc;
+    auto it = vcache_.find(vkey_);
     if (it != vcache_.end()) return *it->second;
     const Method* m = pool_->resolve_virtual(dynamic, name, desc);
     if (!m) throw VmError("unresolved virtual method " + dynamic + "." + name + desc);
-    vcache_.emplace(std::move(key), m);
+    vcache_.emplace(vkey_, m);
     return *m;
 }
 
-Interpreter::SiteCache* Interpreter::caches_for(const Method& m) {
-    std::vector<SiteCache>& sites = site_caches_[&m];
-    // Sized lazily (and re-sized if a mutable-pool rewrite changed the
-    // body, or a recycled Method address collides with a dead entry).
-    if (sites.size() != m.code.instrs.size())
-        sites.assign(m.code.instrs.size(), SiteCache{});
-    return sites.data();
+Interpreter::MethodInfo& Interpreter::info_for(const Method& m) {
+    MethodInfo& info = methods_[&m];
+    if (info.gen == cache_gen()) return info;
+    // A new generation may have rewritten the body, or recycled the
+    // Method address for another method: rebuild everything.
+    info.sites.assign(m.code.instrs.size(), SiteCache{});
+    info.native_epoch = 0;
+    info.locals = 0;
+    info.frame = 0;
+    if (!m.is_native && !m.is_abstract) {
+        info.locals = static_cast<std::size_t>(
+            std::max(m.code.max_locals, m.param_slots()));
+        info.frame = info.locals + max_operand_depth(m);
+    }
+    info.gen = cache_gen();
+    return info;
 }
 
-Value Interpreter::invoke_native(const ClassFile& cls, const Method& m,
-                                 const Value& receiver, std::vector<Value> args) {
-    ++counters_.native_calls;
-    auto it = natives_.find(native_key(cls.name, m.name, m.descriptor()));
-    if (it != natives_.end()) return it->second(*this, receiver, std::move(args));
-    auto cit = class_natives_.find(cls.name);
-    if (cit != class_natives_.end()) return cit->second(*this, m, receiver, std::move(args));
-    throw VmError("unbound native method " + cls.name + "." + m.name + m.descriptor());
+std::size_t Interpreter::max_operand_depth(const Method& m) {
+    // (pops, pushes) of one instruction.
+    auto effect = [this](const Instruction& i) -> std::pair<int, int> {
+        switch (i.op) {
+            case Op::Nop:
+            case Op::Goto:
+            case Op::Return: return {0, 0};
+            case Op::Const:
+            case Op::Load:
+            case Op::New:
+            case Op::GetStatic: return {0, 1};
+            case Op::Dup: return {1, 2};
+            case Op::Store:
+            case Op::Pop:
+            case Op::PutStatic:
+            case Op::IfTrue:
+            case Op::IfFalse:
+            case Op::ReturnValue:
+            case Op::Throw: return {1, 0};
+            case Op::Neg:
+            case Op::Not:
+            case Op::Conv:
+            case Op::GetField:
+            case Op::NewArray:
+            case Op::ALen: return {1, 1};
+            case Op::Swap: return {2, 2};
+            case Op::PutField: return {2, 0};
+            case Op::AStore: return {3, 0};
+            case Op::InvokeVirtual:
+            case Op::InvokeInterface:
+            case Op::InvokeStatic:
+            case Op::InvokeSpecial: {
+                auto [nargs, ret_void] = sig_info(i.desc);
+                return {nargs + (i.op == Op::InvokeStatic ? 0 : 1), ret_void ? 0 : 1};
+            }
+            default: return {2, 1};  // binary arithmetic, comparison, logic; ALoad
+        }
+    };
+    // The verifier's stack-depth dataflow, keeping the maximum: every
+    // reachable pc has one depth, so a frame of locals + max never
+    // overflows.  Unreachable code is never visited (and never runs).
+    const std::vector<Instruction>& code = m.code.instrs;
+    const int n = static_cast<int>(code.size());
+    std::vector<int> depth_at(code.size(), -1);  // -1 = unvisited
+    std::vector<std::pair<int, int>> work{{0, 0}};  // (pc, depth)
+    for (const model::Handler& h : m.code.handlers) work.push_back({h.target, 1});
+    int max_depth = 1;  // a handler's thrown object
+    auto refuse = [&](const char* what, int pc) {
+        throw VmError(std::string(what) + " at pc " + std::to_string(pc) + " in " + m.name +
+                      m.descriptor());
+    };
+    while (!work.empty()) {
+        auto [pc, depth] = work.back();
+        work.pop_back();
+        while (pc >= 0 && pc < n) {
+            if (depth_at[pc] != -1) {
+                if (depth_at[pc] != depth) refuse("inconsistent operand stack depth", pc);
+                break;
+            }
+            depth_at[pc] = depth;
+            const Instruction& i = code[pc];
+            auto [pops, pushes] = effect(i);
+            if (depth < pops) refuse("operand stack underflow", pc);
+            depth += pushes - pops;
+            max_depth = std::max(max_depth, depth);
+            if (i.op == Op::Return || i.op == Op::ReturnValue || i.op == Op::Throw) break;
+            if (i.op == Op::Goto) {
+                pc = i.a;
+                continue;
+            }
+            if (i.op == Op::IfTrue || i.op == Op::IfFalse) work.push_back({i.a, depth});
+            ++pc;
+        }
+    }
+    return static_cast<std::size_t>(max_depth);
 }
 
-[[gnu::noinline]] Value Interpreter::invoke_native_entry(
-    const ClassFile& cls, const Method& m, std::vector<Value> locals_with_receiver) {
-    Value receiver = m.is_static ? Value::null() : locals_with_receiver.front();
-    std::vector<Value> args(locals_with_receiver.begin() + (m.is_static ? 0 : 1),
-                            locals_with_receiver.end());
+void Interpreter::bind_native(const ClassFile& cls, const Method& m, MethodInfo& info) {
     // The declaring class may differ from `cls` for inherited natives;
     // resolve against the class that actually declares the method.
     const ClassFile* declaring = &cls;
+    const std::string desc = m.descriptor();
     for (const ClassFile* cur = &cls; cur;
          cur = cur->super_name.empty() ? nullptr : pool_->find(cur->super_name)) {
-        if (cur->find_method(m.name, m.descriptor()) == &m) {
+        if (cur->find_method(m.name, desc) == &m) {
             declaring = cur;
             break;
         }
     }
-    return invoke_native(*declaring, m, receiver, std::move(args));
+    info.native = nullptr;
+    info.class_native = nullptr;
+    auto it = natives_.find(native_key(declaring->name, m.name, desc));
+    if (it != natives_.end()) {
+        info.native = &it->second;
+    } else {
+        auto cit = class_natives_.find(declaring->name);
+        if (cit == class_natives_.end())
+            throw VmError("unbound native method " + declaring->name + "." + m.name +
+                          desc);
+        info.class_native = &cit->second;
+    }
+    info.bound_cls = &cls;
+    info.native_epoch = natives_epoch_;
+}
+
+Value Interpreter::call_native(const ClassFile& cls, const Method& m, MethodInfo& info,
+                               const Value& receiver, std::vector<Value> args) {
+    ++counters_.native_calls;
+    if (info.native_epoch != natives_epoch_ || info.bound_cls != &cls)
+        bind_native(cls, m, info);
+    if (info.native) return (*info.native)(*this, receiver, std::move(args));
+    return (*info.class_native)(*this, m, receiver, std::move(args));
+}
+
+[[gnu::noinline]] Value Interpreter::invoke_native(const ClassFile& cls, const Method& m,
+                                                   MethodInfo& info, Value* args,
+                                                   std::size_t n) {
+    // The natives' signature takes the arguments by vector: build it once
+    // from the frame window.  The caller pops the window afterwards, so
+    // its values are moved, not copied.
+    const std::size_t skip = m.is_static ? 0 : 1;
+    const Value receiver = m.is_static ? Value::null() : std::move(args[0]);
+    std::vector<Value> rest(std::make_move_iterator(args + skip),
+                            std::make_move_iterator(args + n));
+    return call_native(cls, m, info, receiver, std::move(rest));
 }
 
 [[gnu::noinline]] bool Interpreter::native_stack_exhausted() {
@@ -383,27 +497,83 @@ Value Interpreter::invoke_native(const ClassFile& cls, const Method& m,
     throw VmError("guest call stack overflow in " + cls.name + "." + m.name);
 }
 
-Value Interpreter::invoke(const ClassFile& cls, const Method& m,
-                          std::vector<Value> locals_with_receiver) {
-    if (m.is_native) return invoke_native_entry(cls, m, std::move(locals_with_receiver));
+[[gnu::noinline]] Value* Interpreter::next_segment(std::size_t size) {
+    ++seg_;
+    if (seg_ == segments_.size() || segments_[seg_].size < size) {
+        // Segments above seg_ hold no live frame: replacing one is safe.
+        const std::size_t grown = std::max(size, 2 * segments_[seg_ - 1].size);
+        StackSegment fresh{std::make_unique<Value[]>(grown), grown};
+        if (seg_ == segments_.size())
+            segments_.push_back(std::move(fresh));
+        else
+            segments_[seg_] = std::move(fresh);
+    }
+    return segments_[seg_].begin();
+}
+
+template <class Fill>
+Value Interpreter::run_frame(const ClassFile& cls, const Method& m, MethodInfo& info,
+                             Value* want, std::size_t nargs, Fill&& fill) {
     if (m.is_abstract)
         throw VmError("invoke of abstract method " + cls.name + "." + m.name);
     if (++call_depth_ > kMaxCallDepth || native_stack_exhausted()) {
         --call_depth_;
         throw_stack_overflow(cls, m);
     }
-    locals_with_receiver.resize(static_cast<std::size_t>(m.code.max_locals));
+    const std::size_t saved_seg = seg_;
+    Value* const saved_top = top_;
+    Value* fp = want;
+    if (info.frame > static_cast<std::size_t>(segments_[seg_].end() - want))
+        fp = next_segment(info.frame);
+    top_ = fp + info.frame;
+    fill(fp);
+    for (std::size_t k = nargs; k < info.locals; ++k) fp[k] = Value();
     const std::uint64_t instr_before = profile_methods_ ? counters_.instructions : 0;
-    try {
-        Value result = execute(cls, m, std::move(locals_with_receiver));
+    // Popping the frame releases the strings its slots still own, as
+    // destroying a frame would: a payload must not outlive its call.
+    auto pop_frame = [&] {
+        for (Value* p = fp; p != fp + info.frame; ++p)
+            if (p->is_str()) *p = Value();
+        seg_ = saved_seg;
+        top_ = saved_top;
         --call_depth_;
+    };
+    try {
+        Value result = execute(cls, m, info, fp);
+        pop_frame();
         if (profile_methods_)
             record_method_profile(cls, m, counters_.instructions - instr_before);
         return result;
     } catch (...) {
-        --call_depth_;
+        pop_frame();
         throw;
     }
+}
+
+Value Interpreter::invoke_api(const ClassFile& cls, const Method& m, const Value* receiver,
+                              std::vector<Value>& args) {
+    MethodInfo& info = info_for(m);
+    if (m.is_native)
+        return call_native(cls, m, info, receiver ? *receiver : Value::null(),
+                           std::move(args));
+    // The frame is sized from the method: host arguments beyond its
+    // locals are dropped, and missing ones read as null.
+    const std::size_t n = std::min(args.size() + (receiver ? 1 : 0), info.locals);
+    return run_frame(cls, m, info, top_, n, [&](Value* fp) {
+        std::size_t k = 0;
+        if (receiver && k < n) fp[k++] = *receiver;
+        for (std::size_t a = 0; k < n; ++a) fp[k++] = std::move(args[a]);
+    });
+}
+
+Value Interpreter::invoke(const ClassFile& cls, const Method& m, MethodInfo& info,
+                          Value* args, std::size_t n) {
+    if (m.is_native) return invoke_native(cls, m, info, args, n);
+    // The arguments already sit where the callee's locals begin; they move
+    // only when the frame has to open a new segment.
+    return run_frame(cls, m, info, args, n, [args, n](Value* fp) {
+        if (fp != args) std::move(args, args + n, fp);
+    });
 }
 
 Value Interpreter::arith(Op op, const Value& a, const Value& b) {
@@ -492,107 +662,82 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     }
     return Value::of_bool(result);
 }
-
 // The out-of-line opcode bodies below are [[gnu::noinline]] so they stay
 // out of execute()'s frame even when the optimizer would merge them back.
+// Each takes the operand top `sp` (one past the top value) and returns the
+// new top; popped slots keep stale values until the next push overwrites
+// them.
 
-[[gnu::noinline]] void Interpreter::op_misc(const Instruction& i,
-                                            std::vector<Value>& stack) {
-    auto pop = [&] {
-        Value v = std::move(stack.back());
-        stack.pop_back();
-        return v;
-    };
+[[gnu::noinline]] Value* Interpreter::op_misc(const Instruction& i, Value* sp) {
+    Value& a = sp[-1];  // the only operand of the unary ops
     switch (i.op) {
         case Op::Mul:
         case Op::Div:
-        case Op::Rem: {
-            Value b = pop(), a = pop();
-            stack.push_back(arith(i.op, a, b));
-            break;
-        }
-        case Op::Neg: {
-            Value a = pop();
-            if (a.is_int()) stack.push_back(Value::of_int(-a.as_int()));
-            else if (a.is_long()) stack.push_back(Value::of_long(-a.as_long()));
-            else stack.push_back(Value::of_double(-a.as_double()));
-            break;
-        }
-        case Op::And: {
-            Value b = pop(), a = pop();
-            stack.push_back(Value::of_bool(a.as_bool() && b.as_bool()));
-            break;
-        }
-        case Op::Or: {
-            Value b = pop(), a = pop();
-            stack.push_back(Value::of_bool(a.as_bool() || b.as_bool()));
-            break;
-        }
-        case Op::Not: {
-            Value a = pop();
-            stack.push_back(Value::of_bool(!a.as_bool()));
-            break;
-        }
-        case Op::Conv: {
-            Value a = pop();
+        case Op::Rem:
+            sp[-2] = arith(i.op, sp[-2], sp[-1]);
+            return sp - 1;
+        case Op::Neg:
+            if (a.is_int()) a = Value::of_int(-a.as_int());
+            else if (a.is_long()) a = Value::of_long(-a.as_long());
+            else a = Value::of_double(-a.as_double());
+            return sp;
+        case Op::And:
+            sp[-2] = Value::of_bool(sp[-2].as_bool() && sp[-1].as_bool());
+            return sp - 1;
+        case Op::Or:
+            sp[-2] = Value::of_bool(sp[-2].as_bool() || sp[-1].as_bool());
+            return sp - 1;
+        case Op::Not:
+            a = Value::of_bool(!a.as_bool());
+            return sp;
+        case Op::Conv:
             switch (static_cast<Kind>(i.a)) {
                 case Kind::Int:
-                    stack.push_back(
-                        Value::of_int(static_cast<std::int32_t>(a.widen_double())));
+                    a = Value::of_int(static_cast<std::int32_t>(a.widen_double()));
                     break;
                 case Kind::Long:
-                    stack.push_back(
-                        Value::of_long(static_cast<std::int64_t>(a.widen_double())));
+                    a = Value::of_long(static_cast<std::int64_t>(a.widen_double()));
                     break;
                 case Kind::Double:
-                    stack.push_back(Value::of_double(a.widen_double()));
+                    a = Value::of_double(a.widen_double());
                     break;
                 default:
                     throw VmError("bad conv target");
             }
-            break;
-        }
-        default: {  // Op::Concat
-            Value b = pop(), a = pop();
-            push_concat(a, b, stack);
-            break;
-        }
+            return sp;
+        default:  // Op::Concat
+            sp[-2] = concat(sp[-2], sp[-1]);
+            return sp - 1;
     }
 }
 
-[[gnu::noinline]] void Interpreter::op_array(const Instruction& i,
-                                             std::vector<Value>& stack) {
-    auto pop = [&] {
-        Value v = std::move(stack.back());
-        stack.pop_back();
-        return v;
-    };
+[[gnu::noinline]] Value* Interpreter::op_array(const Instruction& i, Value* sp) {
     switch (i.op) {
         case Op::NewArray: {
-            std::int32_t len = pop().as_int();
+            std::int32_t len = sp[-1].as_int();
             if (len < 0) throw VmError("negative array length");
             ++counters_.allocations;
             const ObjId id = heap_.alloc_array(model::TypeDesc::parse(i.desc),
                                                static_cast<std::size_t>(len));
             if (observer_)
                 observer_->on_alloc_array(id, i.desc, static_cast<std::size_t>(len));
-            stack.push_back(Value::of_ref(id));
-            break;
+            sp[-1] = Value::of_ref(id);
+            return sp;
         }
         case Op::ALoad: {
-            std::int32_t idx = pop().as_int();
-            Object& arr = heap_.get(pop().as_ref());
+            std::int32_t idx = sp[-1].as_int();
+            Object& arr = heap_.get(sp[-2].as_ref());
             if (!arr.is_array) throw VmError("aload on non-array");
             if (idx < 0 || static_cast<std::size_t>(idx) >= arr.fields.size())
                 throw VmError("array index out of bounds: " + std::to_string(idx));
             ++counters_.field_reads;
-            stack.push_back(arr.fields[static_cast<std::size_t>(idx)]);
-            break;
+            sp[-2] = arr.fields[static_cast<std::size_t>(idx)];
+            return sp - 1;
         }
         case Op::AStore: {
-            Value v = pop();
-            std::int32_t idx = pop().as_int();
-            const ObjId aid = pop().as_ref();
+            Value& v = sp[-1];
+            std::int32_t idx = sp[-2].as_int();
+            const ObjId aid = sp[-3].as_ref();
             Object& arr = heap_.get(aid);
             if (!arr.is_array) throw VmError("astore on non-array");
             if (idx < 0 || static_cast<std::size_t>(idx) >= arr.fields.size())
@@ -601,25 +746,25 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
             if (observer_)
                 observer_->on_array_put(aid, static_cast<std::size_t>(idx), v);
             arr.fields[static_cast<std::size_t>(idx)] = std::move(v);
-            break;
+            return sp - 3;
         }
         default: {  // Op::ALen
-            Object& arr = heap_.get(pop().as_ref());
+            Object& arr = heap_.get(sp[-1].as_ref());
             if (!arr.is_array) throw VmError("alen on non-array");
-            stack.push_back(Value::of_int(static_cast<std::int32_t>(arr.fields.size())));
-            break;
+            sp[-1] = Value::of_int(static_cast<std::int32_t>(arr.fields.size()));
+            return sp;
         }
     }
 }
 
 // The invoke bodies are out of line too, but unlike the cold helpers they
-// sit ON the recursion path: one of them is live per guest frame.  That is
-// still a win — execute() used to hold the argument vectors and temporaries
-// of all three shapes at once, in every frame.
+// sit ON the recursion path: one of them is live per guest frame.  Each
+// hands the callee its receiver and arguments in place — the top `n`
+// operands become the first `n` locals of the callee's frame — pops them
+// and pushes the result.
 
-[[gnu::noinline]] void Interpreter::op_invoke_virtual(const Instruction& i,
-                                                      SiteCache& sc,
-                                                      std::vector<Value>& stack) {
+[[gnu::noinline]] Value* Interpreter::op_invoke_virtual(const Instruction& i,
+                                                        SiteCache& sc, Value* sp) {
     const std::uint64_t gen = cache_gen();
     int nargs_i;
     bool ret_void;
@@ -629,45 +774,39 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     } else {
         std::tie(nargs_i, ret_void) = sig_info(i.desc);
     }
-    std::size_t nargs = static_cast<std::size_t>(nargs_i);
-    std::vector<Value> locals2(nargs + 1);
-    for (std::size_t k = nargs + 1; k >= 1; --k) {
-        locals2[k - 1] = std::move(stack.back());
-        stack.pop_back();
-    }
-    Object& recv = heap_.get(locals2[0].as_ref());
-    const ClassFile* dyn;
-    const Method* target;
-    if (sc.gen == gen && sc.cls == recv.cls) {
-        ++counters_.ic_invoke_hits;
-        dyn = sc.cls;
-        target = sc.target;
-    } else {
+    const std::size_t n = static_cast<std::size_t>(nargs_i) + 1;
+    Value* const args = sp - n;
+    Object& recv = heap_.get(args[0].as_ref());
+    if (sc.gen != gen || sc.cls != recv.cls) {
         ++counters_.ic_invoke_misses;
         if (recv.is_array) throw VmError("class_of on an array");
-        dyn = recv.cls;
-        target = &resolve_virtual_cached(dyn->name, i.member, i.desc);
-        sc.cls = dyn;
-        sc.target = target;
+        const Method& target = resolve_virtual_cached(recv.cls->name, i.member, i.desc);
+        sc.info = &info_for(target);
+        sc.cls = recv.cls;
+        sc.target = &target;
         sc.nargs = nargs_i;
         sc.ret_void = ret_void;
         sc.gen = gen;
+    } else {
+        ++counters_.ic_invoke_hits;
     }
     if (i.op == Op::InvokeVirtual) ++counters_.invokes_virtual;
     else ++counters_.invokes_interface;
-    Value r = invoke(*dyn, *target, std::move(locals2));
-    if (!ret_void) stack.push_back(std::move(r));
+    Value r = invoke(*sc.cls, *sc.target, *sc.info, args, n);
+    if (ret_void) return args;
+    *args = std::move(r);
+    return args + 1;
 }
 
-[[gnu::noinline]] void Interpreter::op_invoke_static(const Instruction& i,
-                                                     SiteCache& sc,
-                                                     std::vector<Value>& stack) {
+[[gnu::noinline]] Value* Interpreter::op_invoke_static(const Instruction& i,
+                                                       SiteCache& sc, Value* sp) {
     if (sc.gen != cache_gen()) {
         ++counters_.ic_invoke_misses;
         auto [nargs_i, ret_void] = sig_info(i.desc);
         ensure_initialized(i.owner);
         const Method* target = pool_->resolve_static(i.owner, i.member, i.desc);
         if (!target) throw VmError("unresolved static " + i.owner + "." + i.member);
+        sc.info = &info_for(*target);
         sc.cls = &pool_->get(i.owner);
         sc.target = target;
         sc.nargs = nargs_i;
@@ -676,27 +815,24 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     } else {
         ++counters_.ic_invoke_hits;
     }
-    std::size_t nargs = static_cast<std::size_t>(sc.nargs);
-    std::vector<Value> locals2(nargs);
-    for (std::size_t k = nargs; k >= 1; --k) {
-        locals2[k - 1] = std::move(stack.back());
-        stack.pop_back();
-    }
+    const std::size_t n = static_cast<std::size_t>(sc.nargs);
+    Value* const args = sp - n;
     ++counters_.invokes_static;
-    Value r = invoke(*sc.cls, *sc.target, std::move(locals2));
-    if (!sc.ret_void) stack.push_back(std::move(r));
+    Value r = invoke(*sc.cls, *sc.target, *sc.info, args, n);
+    if (sc.ret_void) return args;
+    *args = std::move(r);
+    return args + 1;
 }
 
-[[gnu::noinline]] void Interpreter::op_invoke_special(const Instruction& i,
-                                                      SiteCache& sc,
-                                                      std::vector<Value>& stack) {
+[[gnu::noinline]] Value* Interpreter::op_invoke_special(const Instruction& i,
+                                                        SiteCache& sc, Value* sp) {
     if (sc.gen != cache_gen()) {
         ++counters_.ic_invoke_misses;
-        auto [nargs_i, ret_void] = sig_info(i.desc);
-        (void)ret_void;
+        const int nargs_i = sig_info(i.desc).first;
         const ClassFile& owner = pool_->get(i.owner);
         const Method* ctor = owner.find_method(i.member, i.desc);
         if (!ctor) throw VmError("unresolved ctor " + i.owner + i.desc);
+        sc.info = &info_for(*ctor);
         sc.cls = &owner;
         sc.target = ctor;
         sc.nargs = nargs_i;
@@ -705,38 +841,29 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     } else {
         ++counters_.ic_invoke_hits;
     }
-    std::size_t nargs = static_cast<std::size_t>(sc.nargs);
-    std::vector<Value> locals2(nargs + 1);
-    for (std::size_t k = nargs + 1; k >= 1; --k) {
-        locals2[k - 1] = std::move(stack.back());
-        stack.pop_back();
-    }
+    const std::size_t n = static_cast<std::size_t>(sc.nargs) + 1;
+    Value* const args = sp - n;
     ++counters_.invokes_special;
-    invoke(*sc.cls, *sc.target, std::move(locals2));
+    invoke(*sc.cls, *sc.target, *sc.info, args, n);
+    return args;
 }
 
-[[gnu::noinline]] void Interpreter::push_concat(const Value& a, const Value& b,
-                                                std::vector<Value>& stack) {
-    stack.push_back(Value::of_str(a.display() + b.display()));
+[[gnu::noinline]] Value Interpreter::concat(const Value& a, const Value& b) {
+    return Value::of_str(a.display() + b.display());
 }
 
-[[gnu::noinline]] void Interpreter::op_throw(std::vector<Value>& stack) {
-    Value thrown = std::move(stack.back());
-    stack.pop_back();
-    if (!thrown.is_ref()) throw VmError("throw of non-reference");
-    throw GuestThrow{std::move(thrown)};
+[[gnu::noinline]] void Interpreter::op_throw(Value& top) {
+    if (!top.is_ref()) throw VmError("throw of non-reference");
+    throw GuestThrow{std::move(top)};
 }
 
-[[gnu::noinline]] bool Interpreter::dispatch_guest_throw(GuestThrow& gt,
-                                                         const Method& m, int& pc,
-                                                         std::vector<Value>& stack) {
+[[gnu::noinline]] bool Interpreter::dispatch_guest_throw(const GuestThrow& gt,
+                                                         const Method& m, int& pc) {
     // Search this frame's handlers; the caller re-throws to unwind otherwise.
     const ClassFile& thrown_cls = class_of(gt.thrown.as_ref());
     for (const model::Handler& h : m.code.handlers) {
         if (pc >= h.start && pc < h.end &&
             pool_->is_subtype(thrown_cls.name, h.class_name)) {
-            stack.clear();
-            stack.push_back(std::move(gt.thrown));
             pc = h.target;
             return true;
         }
@@ -749,19 +876,14 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     throw VmError("pc out of range in " + cls.name + "." + m.name);
 }
 
-Value Interpreter::execute(const ClassFile& cls, const Method& m,
-                           std::vector<Value> locals) {
+Value Interpreter::execute(const ClassFile& cls, const Method& m, MethodInfo& info,
+                           Value* fp) {
     const std::vector<Instruction>& code = m.code.instrs;
-    SiteCache* const sites = caches_for(m);
-    std::vector<Value> stack;
-    stack.reserve(8);
+    SiteCache* const sites = info.sites.data();
+    Value* const locals = fp;
+    Value* const base = fp + info.locals;  // empty operand stack
+    Value* sp = base;
     int pc = 0;
-
-    auto pop = [&] {
-        Value v = std::move(stack.back());
-        stack.pop_back();
-        return v;
-    };
 
     while (true) {
         if (static_cast<std::size_t>(pc) >= code.size())  // negative wraps huge
@@ -774,8 +896,8 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                     break;
                 case Op::Const: {
                     switch (i.k.index()) {  // alternative order fixed in model::Instr
-                        case 0: stack.push_back(Value::null()); break;
-                        case 1: stack.push_back(Value::of_bool(std::get<bool>(i.k))); break;
+                        case 0: *sp++ = Value::null(); break;
+                        case 1: *sp++ = Value::of_bool(std::get<bool>(i.k)); break;
                         case 2: {
                             // Constant-increment fusion (`const n; add/sub`
                             // over a same-width top of stack): apply the
@@ -784,87 +906,90 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                             // jump into the Add/Sub still takes its case.
                             const std::int32_t v = std::get<std::int32_t>(i.k);
                             if (static_cast<std::size_t>(pc) + 1 < code.size() &&
-                                !stack.empty()) {
+                                sp != base) {
                                 const Instruction& nx = code[pc + 1];
                                 if ((nx.op == Op::Add || nx.op == Op::Sub) &&
-                                    stack.back().is_int()) {
+                                    sp[-1].is_int()) {
                                     const std::uint32_t x =
-                                        static_cast<std::uint32_t>(stack.back().as_int());
+                                        static_cast<std::uint32_t>(sp[-1].as_int());
                                     const std::uint32_t y = static_cast<std::uint32_t>(v);
-                                    stack.back() = Value::of_int(static_cast<std::int32_t>(
+                                    sp[-1] = Value::of_int(static_cast<std::int32_t>(
                                         nx.op == Op::Add ? x + y : x - y));
                                     ++counters_.instructions;  // absorbed arith
                                     pc += 2;
                                     continue;
                                 }
                             }
-                            stack.push_back(Value::of_int(v));
+                            *sp++ = Value::of_int(v);
                             break;
                         }
                         case 3: {
                             const std::int64_t v = std::get<std::int64_t>(i.k);
                             if (static_cast<std::size_t>(pc) + 1 < code.size() &&
-                                !stack.empty()) {
+                                sp != base) {
                                 const Instruction& nx = code[pc + 1];
                                 if ((nx.op == Op::Add || nx.op == Op::Sub) &&
-                                    stack.back().is_long()) {
+                                    sp[-1].is_long()) {
                                     const std::uint64_t x =
-                                        static_cast<std::uint64_t>(stack.back().as_long());
+                                        static_cast<std::uint64_t>(sp[-1].as_long());
                                     const std::uint64_t y = static_cast<std::uint64_t>(v);
-                                    stack.back() = Value::of_long(static_cast<std::int64_t>(
+                                    sp[-1] = Value::of_long(static_cast<std::int64_t>(
                                         nx.op == Op::Add ? x + y : x - y));
                                     ++counters_.instructions;  // absorbed arith
                                     pc += 2;
                                     continue;
                                 }
                             }
-                            stack.push_back(Value::of_long(v));
+                            *sp++ = Value::of_long(v);
                             break;
                         }
                         case 4:
-                            stack.push_back(Value::of_double(std::get<double>(i.k)));
+                            *sp++ = Value::of_double(std::get<double>(i.k));
                             break;
                         default:
-                            stack.push_back(Value::of_str(std::get<std::string>(i.k)));
+                            *sp++ = Value::of_str(std::get<std::string>(i.k));
                             break;
                     }
                     break;
                 }
                 case Op::Load:
-                    stack.push_back(locals[static_cast<std::size_t>(i.a)]);
+                    *sp++ = locals[i.a];
                     break;
                 case Op::Store:
-                    locals[static_cast<std::size_t>(i.a)] = pop();
+                    locals[i.a] = std::move(*--sp);
                     break;
                 case Op::Dup:
-                    stack.push_back(stack.back());
+                    *sp = sp[-1];
+                    ++sp;
                     break;
                 case Op::Pop:
-                    stack.pop_back();
+                    --sp;
                     break;
                 case Op::Swap:
-                    std::swap(stack[stack.size() - 1], stack[stack.size() - 2]);
+                    std::swap(sp[-1], sp[-2]);
                     break;
                 case Op::Add:
                 case Op::Sub: {
-                    Value b = pop(), a = pop();
+                    Value& a = sp[-2];
+                    const Value& b = sp[-1];
+                    --sp;
                     // Same-width add/sub inline (wraparound matches arith());
                     // strings concatenate, mirroring Java's +; everything
                     // else (mixed widths, doubles) takes the general path.
                     if (a.is_long() && b.is_long()) {
                         const std::uint64_t ux = static_cast<std::uint64_t>(a.as_long());
                         const std::uint64_t uy = static_cast<std::uint64_t>(b.as_long());
-                        stack.push_back(Value::of_long(static_cast<std::int64_t>(
-                            i.op == Op::Add ? ux + uy : ux - uy)));
+                        a = Value::of_long(static_cast<std::int64_t>(
+                            i.op == Op::Add ? ux + uy : ux - uy));
                     } else if (a.is_int() && b.is_int()) {
                         const std::uint32_t ux = static_cast<std::uint32_t>(a.as_int());
                         const std::uint32_t uy = static_cast<std::uint32_t>(b.as_int());
-                        stack.push_back(Value::of_int(static_cast<std::int32_t>(
-                            i.op == Op::Add ? ux + uy : ux - uy)));
+                        a = Value::of_int(static_cast<std::int32_t>(
+                            i.op == Op::Add ? ux + uy : ux - uy));
                     } else if (i.op == Op::Add && (a.is_str() || b.is_str())) {
-                        push_concat(a, b, stack);
+                        a = concat(a, b);
                     } else {
-                        stack.push_back(arith(i.op, a, b));
+                        a = arith(i.op, a, b);
                     }
                     break;
                 }
@@ -872,7 +997,7 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                 case Op::Div:
                 case Op::Rem:
                 case Op::Neg:
-                    op_misc(i, stack);
+                    sp = op_misc(i, sp);
                     break;
                 case Op::CmpEq:
                 case Op::CmpNe:
@@ -880,7 +1005,8 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                 case Op::CmpLe:
                 case Op::CmpGt:
                 case Op::CmpGe: {
-                    Value b = pop(), a = pop();
+                    const Value& a = sp[-2];
+                    const Value& b = sp[-1];
                     // int/int dominates loop headers; compare() widens
                     // through double, which is exact for 32-bit ints, so
                     // the inline path is equivalent.
@@ -898,6 +1024,7 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                     } else {
                         res = compare(i.op, a, b).as_bool();
                     }
+                    sp -= 2;
                     // Compare-and-branch fusion: when the next instruction
                     // is the conditional jump (the shape every loop header
                     // compiles to), branch directly instead of pushing and
@@ -914,7 +1041,7 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                             continue;
                         }
                     }
-                    stack.push_back(Value::of_bool(res));
+                    *sp++ = Value::of_bool(res);
                     break;
                 }
                 case Op::And:
@@ -922,14 +1049,13 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                 case Op::Not:
                 case Op::Conv:
                 case Op::Concat:
-                    op_misc(i, stack);
+                    sp = op_misc(i, sp);
                     break;
                 case Op::Goto:
                     pc = i.a;
                     continue;
                 case Op::IfTrue: {
-                    const bool t = stack.back().as_bool();
-                    stack.pop_back();
+                    const bool t = (--sp)->as_bool();
                     if (t) {
                         pc = i.a;
                         continue;
@@ -937,8 +1063,7 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                     break;
                 }
                 case Op::IfFalse: {
-                    const bool t = stack.back().as_bool();
-                    stack.pop_back();
+                    const bool t = (--sp)->as_bool();
                     if (!t) {
                         pc = i.a;
                         continue;
@@ -948,10 +1073,10 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                 case Op::New: {
                     SiteCache& sc = sites[pc];
                     if (sc.gen == cache_gen()) {
-                        stack.push_back(Value::of_ref(allocate_with(*sc.cls, *sc.layout)));
+                        *sp++ = Value::of_ref(allocate_with(*sc.cls, *sc.layout));
                     } else {
                         ensure_initialized(i.owner);
-                        stack.push_back(Value::of_ref(allocate(i.owner)));
+                        *sp++ = Value::of_ref(allocate(i.owner));
                         sc.cls = &pool_->get(i.owner);
                         sc.layout = &pool_->layout_of(i.owner);
                         sc.gen = cache_gen();
@@ -959,9 +1084,7 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                     break;
                 }
                 case Op::GetField: {
-                    const ObjId recv = stack.back().as_ref();
-                    stack.pop_back();
-                    Object& o = heap_.get(recv);
+                    Object& o = heap_.get(sp[-1].as_ref());
                     SiteCache& sc = sites[pc];
                     if (sc.cls == o.cls && sc.gen == cache_gen()) {
                         ++counters_.ic_field_hits;
@@ -972,13 +1095,13 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                         ++counters_.ic_field_misses;
                     }
                     ++counters_.field_reads;
-                    stack.push_back(o.fields[static_cast<std::size_t>(sc.slot)]);
+                    sp[-1] = o.fields[static_cast<std::size_t>(sc.slot)];
                     break;
                 }
                 case Op::PutField: {
-                    Value v = pop();
-                    const ObjId recv = stack.back().as_ref();
-                    stack.pop_back();
+                    Value& v = sp[-1];
+                    const ObjId recv = sp[-2].as_ref();
+                    sp -= 2;
                     Object& o = heap_.get(recv);
                     SiteCache& sc = sites[pc];
                     if (sc.cls == o.cls && sc.gen == cache_gen()) {
@@ -1000,12 +1123,12 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                     if (sc.gen == cache_gen()) {
                         ++counters_.ic_static_hits;
                         ++counters_.static_reads;
-                        stack.push_back((*sc.statics)[static_cast<std::size_t>(sc.slot)]);
+                        *sp++ = (*sc.statics)[static_cast<std::size_t>(sc.slot)];
                     } else {
                         ++counters_.ic_static_misses;
                         // The slow path runs <clinit> if needed and
                         // reconciles storage; fill the cache afterwards.
-                        stack.push_back(get_static_field(i.owner, i.member));
+                        *sp++ = get_static_field(i.owner, i.member);
                         const ClassFile* declaring =
                             pool_->resolve_static_field(i.owner, i.member);
                         sc.statics = &statics_of(declaring->name);
@@ -1018,16 +1141,16 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                 }
                 case Op::PutStatic: {
                     SiteCache& sc = sites[pc];
+                    Value& v = *--sp;
                     if (sc.gen == cache_gen()) {
                         ++counters_.ic_static_hits;
                         ++counters_.static_writes;
-                        Value v = pop();
                         if (observer_)
                             observer_->on_static_put(sc.cls->name, i.member, v);
                         (*sc.statics)[static_cast<std::size_t>(sc.slot)] = std::move(v);
                     } else {
                         ++counters_.ic_static_misses;
-                        set_static_field(i.owner, i.member, pop());
+                        set_static_field(i.owner, i.member, std::move(v));
                         const ClassFile* declaring =
                             pool_->resolve_static_field(i.owner, i.member);
                         sc.statics = &statics_of(declaring->name);
@@ -1040,30 +1163,35 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                 }
                 case Op::InvokeVirtual:
                 case Op::InvokeInterface:
-                    op_invoke_virtual(i, sites[pc], stack);
+                    sp = op_invoke_virtual(i, sites[pc], sp);
                     break;
                 case Op::InvokeStatic:
-                    op_invoke_static(i, sites[pc], stack);
+                    sp = op_invoke_static(i, sites[pc], sp);
                     break;
                 case Op::InvokeSpecial:
-                    op_invoke_special(i, sites[pc], stack);
+                    sp = op_invoke_special(i, sites[pc], sp);
                     break;
                 case Op::Return:
                     return Value::null();
                 case Op::ReturnValue:
-                    return pop();
+                    return std::move(sp[-1]);
                 case Op::Throw:
-                    op_throw(stack);  // [[noreturn]]
+                    op_throw(sp[-1]);  // [[noreturn]]
                 case Op::NewArray:
                 case Op::ALoad:
                 case Op::AStore:
                 case Op::ALen:
-                    op_array(i, stack);
+                    sp = op_array(i, sp);
                     break;
             }
         } catch (GuestThrow& gt) {
-            if (dispatch_guest_throw(gt, m, pc, stack)) continue;
-            throw;  // unwind to the caller's frame (or the API boundary)
+            if (!dispatch_guest_throw(gt, m, pc))
+                throw;  // unwind to the caller's frame (or the API boundary)
+            // The handler starts on an operand stack holding only the
+            // thrown object.
+            sp = base;
+            *sp++ = std::move(gt.thrown);
+            continue;
         }
         ++pc;
     }

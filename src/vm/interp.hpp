@@ -18,7 +18,9 @@
 // a monomorphic inline cache in a side table parallel to the method's code,
 // validated against ClassPool::generation() so in-place transformation,
 // Heap::transmute and late class registration stay semantically exact
-// (DESIGN.md §11).
+// (DESIGN.md §11).  Guest frames are windows on one value stack per
+// interpreter: an invoke passes its arguments in place, so a warm guest
+// call allocates nothing.
 //
 // Guest exceptions (Throw/handlers) are implemented with a C++ exception
 // carrying the thrown object; an uncaught guest throw surfaces to the
@@ -26,6 +28,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -158,6 +161,11 @@ public:
     const Counters& counters() const noexcept { return counters_; }
     void reset_counters() { counters_ = Counters{}; }
 
+    /// (parameter count, returns void) of a method descriptor, parsed once
+    /// per distinct descriptor and cached, so hot paths never re-parse
+    /// signatures.  Throws ParseError on a malformed descriptor.
+    std::pair<int, bool> sig_info(const std::string& desc);
+
     /// Mirrors this VM's work counters into `registry` as probes named
     /// `<prefix>.instructions`, `.invokes`, `.native_calls`, `.allocations`,
     /// `.field_accesses` (sampled at snapshot time — the interpreter's hot
@@ -234,13 +242,15 @@ private:
         Value thrown;
     };
 
+    struct MethodInfo;
+
     /// One quickening slot: the memoized resolution of one symbolic
     /// instruction site (GetField/PutField, the invokes, GetStatic/
     /// PutStatic, New).  Slots live in a side table parallel to each
     /// method's code so model::Instr stays immutable.  A slot is valid
-    /// only while `gen == pool_->generation()` (and, for receiver-keyed
-    /// sites, while `cls` matches the receiver's class); `gen` starts at
-    /// 0, which the pool never reports, so empty slots always miss.
+    /// only while `gen == cache_gen()` (and, for receiver-keyed sites,
+    /// while `cls` matches the receiver's class); `gen` starts at 0,
+    /// which the pool never reports, so empty slots always miss.
     struct SiteCache {
         std::uint64_t gen = 0;
         const model::ClassFile* cls = nullptr;  // receiver class (fields,
@@ -249,35 +259,84 @@ private:
                                                 // New, InvokeStatic/Special)
         int slot = -1;                          // field/static slot index
         const model::Method* target = nullptr;  // invoke target
+        MethodInfo* info = nullptr;             // invoke: target's record
         std::vector<Value>* statics = nullptr;  // declaring class's statics
         const model::Layout* layout = nullptr;  // New: instance layout
         int nargs = 0;                          // invoke: parameter count
         bool ret_void = false;                  // invoke: returns void
     };
 
-    Value at_api_boundary(const std::function<Value()>& body);
+    /// Everything the interpreter memoizes about one method (DESIGN.md
+    /// §11): its site table, its frame shape and, for natives, the bound
+    /// C++ function.  Valid while `gen == cache_gen()`; a stale record is
+    /// rebuilt in place on its next lookup, so SiteCache::info pointers
+    /// (filled in the same generation) never see a half-built record.
+    struct MethodInfo {
+        std::uint64_t gen = 0;
+        std::vector<SiteCache> sites;  // one per instruction
+        std::size_t locals = 0;        // max(max_locals, receiver + params)
+        std::size_t frame = 0;         // locals + maximum operand depth
+        // Native binding for (bound_cls, method), valid while
+        // `native_epoch == natives_epoch_`; exactly one of the two is set.
+        std::uint64_t native_epoch = 0;
+        const model::ClassFile* bound_cls = nullptr;
+        const NativeFn* native = nullptr;
+        const ClassNativeFn* class_native = nullptr;
+    };
+
+    /// A fixed-capacity slab of the value stack.  Frames never straddle
+    /// segments and segments never move or shrink, so a frame's slots
+    /// stay put while it is live, whatever nested calls grow.
+    struct StackSegment {
+        std::unique_ptr<Value[]> slots;
+        std::size_t size = 0;
+        Value* begin() const noexcept { return slots.get(); }
+        Value* end() const noexcept { return slots.get() + size; }
+    };
+
+    template <class Body>
+    Value at_api_boundary(Body&& body);
     Value construct_impl(const std::string& class_name, const std::string& ctor_desc,
-                         std::vector<Value> args);
+                         std::vector<Value>& args);
     Value call_static_impl(const std::string& owner, const std::string& name,
-                           const std::string& desc, std::vector<Value> args);
+                           const std::string& desc, std::vector<Value>& args);
     Value call_virtual_impl(const Value& receiver, const std::string& name,
-                            const std::string& desc, std::vector<Value> args);
-    Value execute(const model::ClassFile& cls, const model::Method& m,
-                  std::vector<Value> locals);
-    Value invoke(const model::ClassFile& cls, const model::Method& m,
-                 std::vector<Value> locals_with_receiver);
+                            const std::string& desc, std::vector<Value>& args);
+    /// Host-API entry: runs `m` with an optional receiver and `args`.
+    /// Natives get the vector as is; guest methods get a frame at the top
+    /// of the value stack.
+    Value invoke_api(const model::ClassFile& cls, const model::Method& m,
+                     const Value* receiver, std::vector<Value>& args);
+    /// Guest-invoke entry: `args[0, n)` (receiver first) are the caller's
+    /// top operands; a guest callee's frame starts on them in place.
+    Value invoke(const model::ClassFile& cls, const model::Method& m, MethodInfo& info,
+                 Value* args, std::size_t n);
+    /// Pushes a frame for `m` at `want` (or at the start of the next
+    /// segment when it does not fit), lets `fill` move the arguments into
+    /// its first slots, runs it and pops it again.
+    template <class Fill>
+    Value run_frame(const model::ClassFile& cls, const model::Method& m, MethodInfo& info,
+                    Value* want, std::size_t nargs, Fill&& fill);
+    Value execute(const model::ClassFile& cls, const model::Method& m, MethodInfo& info,
+                  Value* fp);
+    Value call_native(const model::ClassFile& cls, const model::Method& m, MethodInfo& info,
+                      const Value& receiver, std::vector<Value> args);
     Value invoke_native(const model::ClassFile& cls, const model::Method& m,
-                        const Value& receiver, std::vector<Value> args);
+                        MethodInfo& info, Value* args, std::size_t n);
+    /// Resolves the native of (cls, m) once and records it in `info`.
+    void bind_native(const model::ClassFile& cls, const model::Method& m, MethodInfo& info);
     const model::Method& resolve_virtual_cached(const std::string& dynamic,
                                                 const std::string& name,
                                                 const std::string& desc);
-    /// Cached (parameter count, returns void) per method descriptor, so
-    /// the hot invoke path never re-parses signatures.
-    std::pair<int, bool> sig_info(const std::string& desc);
     std::vector<Value>& statics_of(const std::string& class_name);
-    /// The side table of `m` (one SiteCache per instruction), created on
-    /// first execution.
-    SiteCache* caches_for(const model::Method& m);
+    /// The record of `m`, (re)built lazily for the current generation.
+    MethodInfo& info_for(const model::Method& m);
+    /// Deepest operand stack `m` can build (a dataflow over its code, the
+    /// verifier's); throws VmError on code whose depth is inconsistent.
+    std::size_t max_operand_depth(const model::Method& m);
+    /// Moves to the segment above the current one, creating or enlarging
+    /// it so that `size` slots fit; returns its first slot.
+    Value* next_segment(std::size_t size);
     ObjId allocate_with(const model::ClassFile& cls, const model::Layout& layout);
     /// Re-keys the static storage to the current pool generation: classes
     /// that vanished are dropped, surviving fields keep their values by
@@ -300,16 +359,12 @@ private:
     /// execute()'s frame: guest recursion is bounded by the native stack
     /// (kMaxCallDepth frames of execute+invoke must fit), and under ASan
     /// every in-frame local costs redzone space in all of them at once.
-    void op_misc(const model::Instruction& i, std::vector<Value>& stack);
-    void op_array(const model::Instruction& i, std::vector<Value>& stack);
-    void op_invoke_virtual(const model::Instruction& i, SiteCache& sc,
-                           std::vector<Value>& stack);
-    void op_invoke_static(const model::Instruction& i, SiteCache& sc,
-                          std::vector<Value>& stack);
-    void op_invoke_special(const model::Instruction& i, SiteCache& sc,
-                           std::vector<Value>& stack);
-    Value invoke_native_entry(const model::ClassFile& cls, const model::Method& m,
-                              std::vector<Value> locals_with_receiver);
+    /// Each takes the operand top and returns the new one.
+    Value* op_misc(const model::Instruction& i, Value* sp);
+    Value* op_array(const model::Instruction& i, Value* sp);
+    Value* op_invoke_virtual(const model::Instruction& i, SiteCache& sc, Value* sp);
+    Value* op_invoke_static(const model::Instruction& i, SiteCache& sc, Value* sp);
+    Value* op_invoke_special(const model::Instruction& i, SiteCache& sc, Value* sp);
     /// True when the *native* stack is close to exhaustion.  The guest
     /// depth guard (kMaxCallDepth) assumes native frames are small; under
     /// instrumented builds (ASan redzones) they are not, and the process
@@ -318,11 +373,10 @@ private:
     bool native_stack_exhausted();
     [[noreturn]] void throw_stack_overflow(const model::ClassFile& cls,
                                            const model::Method& m);
-    void push_concat(const Value& a, const Value& b, std::vector<Value>& stack);
-    [[noreturn]] void op_throw(std::vector<Value>& stack);
-    /// Searches this frame's handler table; true = handled (pc/stack set).
-    bool dispatch_guest_throw(GuestThrow& gt, const model::Method& m, int& pc,
-                              std::vector<Value>& stack);
+    Value concat(const Value& a, const Value& b);
+    [[noreturn]] void op_throw(Value& top);
+    /// Searches this frame's handler table; true = handled (pc set).
+    bool dispatch_guest_throw(const GuestThrow& gt, const model::Method& m, int& pc);
     [[noreturn]] void throw_pc_range(const model::ClassFile& cls,
                                      const model::Method& m);
 
@@ -356,13 +410,25 @@ private:
     std::unordered_set<std::string> initializing_;
     std::unordered_map<std::string, NativeFn> natives_;
     std::unordered_map<std::string, ClassNativeFn> class_natives_;
+    /// Bumped by every register_native/register_class_native, which
+    /// unbinds every MethodInfo's native without touching the inline
+    /// caches (their hit/miss counts stay what they were).
+    std::uint64_t natives_epoch_ = 1;
     std::unordered_map<std::string, const model::Method*> vcache_;
     std::uint64_t vcache_gen_ = 0;
+    std::string vkey_;  // reused vcache_ lookup key
     std::unordered_map<std::string, std::pair<int, bool>> sig_cache_;
-    /// Per-method quickening side tables (see SiteCache).  Entries
-    /// invalidate lazily via the generation check, so a pool mutation
-    /// costs nothing here until a stale site is re-executed.
-    std::unordered_map<const model::Method*, std::vector<SiteCache>> site_caches_;
+    /// Per-method records (see MethodInfo).  Entries invalidate lazily via
+    /// the generation check, so a pool mutation costs nothing here until a
+    /// stale method runs again.  Node-based: record addresses are stable.
+    std::unordered_map<const model::Method*, MethodInfo> methods_;
+
+    /// The value stack (DESIGN.md §11): segments_[seg_] holds the
+    /// innermost frame, whose extent ends at top_; segments above seg_
+    /// are free.
+    std::vector<StackSegment> segments_;
+    std::size_t seg_ = 0;
+    Value* top_ = nullptr;
 };
 
 }  // namespace rafda::vm

@@ -417,6 +417,78 @@ TEST(WorkloadDriver, MatrixCapOverflowPreservesTotals) {
     EXPECT_EQ(std::get<4>(capped), std::get<4>(uncapped));
 }
 
+TEST(WorkloadDriver, MixedAppendsRunInOrderAndMatchAFlatQueue) {
+    // add_client(count, task) stores one queue segment instead of `count`
+    // copies.  Interleaved with task-vector appends on the same node, the
+    // queue must still issue exactly the flat sequence, bursts may straddle
+    // segment edges, and the report must be the flat queue's.
+    model::ClassPool pool = make_pool();
+    auto run = [&](bool segmented, std::vector<int>& order) {
+        System system(pool);
+        for (int n = 0; n < 3; ++n) system.add_node();
+        system.policy().set_instance_home("Service", 0, "RMI");
+        Value svc1 = system.construct(1, "Service", "()V");
+        Value svc2 = system.construct(2, "Service", "()V");
+        auto task = [&order](Value svc, int tag) {
+            return WorkloadDriver::Task([&order, svc, tag](System& sys, net::NodeId node) {
+                order.push_back(tag);
+                sys.node(node).interp().call_virtual(svc, "work", "(J)J",
+                                                     {Value::of_long(tag)});
+            });
+        };
+        WorkloadDriver driver(system);
+        driver.set_pipeline_depth(2);
+        if (segmented) {
+            driver.add_client(1, 3, task(svc1, 10));
+            driver.add_client(2, 2, task(svc2, 20));
+            driver.add_client(1, {task(svc1, 11), task(svc1, 12)});
+            driver.add_client(1, 0, task(svc1, 99));  // queues nothing
+            driver.add_client(1, 2, task(svc1, 13));
+            driver.add_client(2, {task(svc2, 21)});
+            driver.add_client(1, {task(svc1, 14)});
+        } else {
+            driver.add_client(1, {task(svc1, 10), task(svc1, 10), task(svc1, 10),
+                                  task(svc1, 11), task(svc1, 12), task(svc1, 13),
+                                  task(svc1, 13), task(svc1, 14)});
+            driver.add_client(2, {task(svc2, 20), task(svc2, 20), task(svc2, 21)});
+        }
+        return driver.run();
+    };
+    std::vector<int> segmented_order;
+    std::vector<int> flat_order;
+    const WorkloadDriver::Report a = run(true, segmented_order);
+    const WorkloadDriver::Report b = run(false, flat_order);
+
+    std::vector<int> client1;
+    for (int tag : segmented_order)
+        if (tag < 20) client1.push_back(tag);
+    EXPECT_EQ(client1, (std::vector<int>{10, 10, 10, 11, 12, 13, 13, 14}));
+    EXPECT_EQ(segmented_order, flat_order);
+
+    EXPECT_EQ(a.tasks_run, 11u);
+    EXPECT_EQ(a.tasks_run, b.tasks_run);
+    EXPECT_EQ(a.start_us, b.start_us);
+    EXPECT_EQ(a.end_us, b.end_us);
+    EXPECT_EQ(a.makespan_us, b.makespan_us);
+    EXPECT_EQ(a.faults, b.faults);
+    EXPECT_EQ(a.recovered, b.recovered);
+    EXPECT_EQ(a.latency_p50_us, b.latency_p50_us);
+    EXPECT_EQ(a.latency_p95_us, b.latency_p95_us);
+    EXPECT_EQ(a.latency_p99_us, b.latency_p99_us);
+    EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+    EXPECT_EQ(a.peak_pending_events, b.peak_pending_events);
+    EXPECT_EQ(a.event_order_digest, b.event_order_digest);
+    ASSERT_EQ(a.clients.size(), 2u);
+    ASSERT_EQ(b.clients.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+        EXPECT_EQ(a.clients[k].node, b.clients[k].node);
+        EXPECT_EQ(a.clients[k].tasks, b.clients[k].tasks);
+        EXPECT_EQ(a.clients[k].end_us, b.clients[k].end_us);
+    }
+    EXPECT_EQ(a.clients[0].tasks, 8u);
+    EXPECT_EQ(a.clients[1].tasks, 3u);
+}
+
 TEST(WorkloadDriver, RerunCarriesClocksForward) {
     model::ClassPool pool = make_pool();
     System system(pool);

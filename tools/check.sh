@@ -33,8 +33,8 @@ done
 # not asserted.
 case " $presets " in
 *" default "*)
-    for bench in bench_property_access bench_dispatch_matrix bench_concurrency \
-                 bench_pipeline bench_transformability bench_reliability \
+    for bench in bench_property_access bench_factory_overhead bench_dispatch_matrix \
+                 bench_concurrency bench_pipeline bench_transformability bench_reliability \
                  bench_journal bench_batching bench_adaptive \
                  bench_durability bench_adaptation; do
         echo "== perf smoke: $bench =="
@@ -73,6 +73,27 @@ case " $presets " in
         cmp "BENCH_$id.json" "$det_dir/BENCH_$id.json"
     done
     echo "bench determinism OK: E5/E9/E10/E12/E14/E15 re-runs byte-identical"
+
+    # Interpreter counter pin (gating): E7 and E8 count guest instructions
+    # and allocations exactly, so a change to how frames, invokes or inline
+    # caches are implemented must leave these figures where they are.  A
+    # change that means to move them updates the pin and says why.
+    echo "== interpreter counters (E7 E8) =="
+    python3 - BENCH_E7.json BENCH_E8.json <<'PYEOF'
+import json, sys
+pins = {
+    "E7": {"direct_instructions": 2208, "factory_instructions": 3724,
+           "direct_allocations": 100, "factory_allocations": 101},
+    "E8": {"raw_instructions": 7508, "interface_instructions": 11024,
+           "wrapper_instructions": 12023},
+}
+for path in sys.argv[1:]:
+    with open(path) as f:
+        doc = json.load(f)
+    for key, want in pins[doc["experiment"]].items():
+        assert doc[key] == want, f"{path}: {key} = {doc[key]}, pinned at {want}"
+print("interpreter counters OK: E7/E8 match their pins")
+PYEOF
 
     # Durability off-state guard (gating): E5 and E10 run with durability
     # off, so their sidecars double as the proof that the WAL layer is
