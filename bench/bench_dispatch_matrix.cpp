@@ -12,11 +12,13 @@
 //
 // Wall time captures middleware CPU cost; the `virtual_us_per_call` and
 // `wire_bytes_per_call` counters capture the simulated network, where the
-// RMI-vs-SOAP asymmetry shows.  A payload sweep (echo of N-byte strings)
-// shows SOAP's size amplification growing with payload.
+// RMI-vs-SOAP asymmetry shows.  A payload sweep (echo of N-byte strings,
+// 5% of them XML specials) shows SOAP's size amplification and how each
+// codec's host cost grows with payload.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "runtime/system.hpp"
@@ -114,16 +116,29 @@ void BM_KeptInPlace(benchmark::State& state) {
 }
 BENCHMARK(BM_KeptInPlace);
 
+/// `n` payload bytes in which one byte in twenty is an XML special
+/// (& < > "), so SOAP's escape and unescape paths are timed, not skipped.
+std::string payload_of(std::size_t n) {
+    static constexpr char kAlphabet[] =
+        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 .,;:-_/()[]+!<>&\"";
+    static_assert(sizeof kAlphabet - 1 == 80);
+    std::string s(n, ' ');
+    for (std::size_t i = 0; i < n; ++i) s[i] = kAlphabet[i * 37 % 80];
+    return s;
+}
+
 // Payload sweep: echo(S) with growing strings.
 void run_payload(benchmark::State& state, const std::string& protocol) {
     model::ClassPool pool = bench::assemble_app(bench::kServiceApp);
-    runtime::System system(pool);
+    runtime::SystemOptions options;
+    options.pipeline.generator.protocols = {"RMI", "SOAP", "CORBA"};
+    runtime::System system(pool, options);
     system.add_node();
     system.add_node();
     system.policy().set_instance_home("Service", 1, protocol);
     Value svc = system.construct(0, "Service", "()V");
     vm::Interpreter& n0 = system.node(0).interp();
-    std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
+    const std::string payload = payload_of(static_cast<std::size_t>(state.range(0)));
     system.reset_stats();
     for (auto _ : state)
         benchmark::DoNotOptimize(
@@ -135,10 +150,13 @@ void run_payload(benchmark::State& state, const std::string& protocol) {
 }
 
 void BM_PayloadRMI(benchmark::State& state) { run_payload(state, "RMI"); }
-BENCHMARK(BM_PayloadRMI)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_PayloadRMI)->Arg(16)->Arg(256)->Arg(4096)->Arg(16384);
+
+void BM_PayloadCORBA(benchmark::State& state) { run_payload(state, "CORBA"); }
+BENCHMARK(BM_PayloadCORBA)->Arg(16)->Arg(256)->Arg(4096)->Arg(16384);
 
 void BM_PayloadSOAP(benchmark::State& state) { run_payload(state, "SOAP"); }
-BENCHMARK(BM_PayloadSOAP)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_PayloadSOAP)->Arg(16)->Arg(256)->Arg(4096)->Arg(16384);
 
 /// 100 remote work() calls per protocol, measured via snapshot/diff.
 void emit_summary() {

@@ -1,5 +1,6 @@
 #include "model/verifier.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <optional>
 #include <set>
@@ -297,108 +298,116 @@ private:
         return nullptr;
     }
 
-    /// Net stack effect and minimum required depth of one instruction.
-    std::pair<int, int> stack_effect(const Instruction& i) {
-        switch (i.op) {
-            case Op::Nop: return {0, 0};
-            case Op::Const: return {+1, 0};
-            case Op::Load: return {+1, 0};
-            case Op::Store: return {-1, 1};
-            case Op::Dup: return {+1, 1};
-            case Op::Pop: return {-1, 1};
-            case Op::Swap: return {0, 2};
-            case Op::Add:
-            case Op::Sub:
-            case Op::Mul:
-            case Op::Div:
-            case Op::Rem:
-            case Op::CmpEq:
-            case Op::CmpNe:
-            case Op::CmpLt:
-            case Op::CmpLe:
-            case Op::CmpGt:
-            case Op::CmpGe:
-            case Op::And:
-            case Op::Or:
-            case Op::Concat: return {-1, 2};
-            case Op::Neg:
-            case Op::Not:
-            case Op::Conv: return {0, 1};
-            case Op::Goto: return {0, 0};
-            case Op::IfTrue:
-            case Op::IfFalse: return {-1, 1};
-            case Op::New: return {+1, 0};
-            case Op::GetField: return {0, 1};
-            case Op::PutField: return {-2, 2};
-            case Op::GetStatic: return {+1, 0};
-            case Op::PutStatic: return {-1, 1};
-            case Op::InvokeVirtual:
-            case Op::InvokeInterface:
-            case Op::InvokeStatic:
-            case Op::InvokeSpecial: {
-                MethodSig sig = MethodSig::parse(i.desc);
-                int pops = static_cast<int>(sig.params().size()) +
-                           (i.op == Op::InvokeStatic ? 0 : 1);
-                int pushes = sig.ret().is_void() ? 0 : 1;
-                return {pushes - pops, pops};
-            }
-            case Op::Return: return {0, 0};
-            case Op::ReturnValue: return {-1, 1};
-            case Op::Throw: return {-1, 1};
-            case Op::NewArray: return {0, 1};   // pop length, push ref
-            case Op::ALoad: return {-1, 2};     // pop idx+ref, push elem
-            case Op::AStore: return {-3, 3};
-            case Op::ALen: return {0, 1};
-        }
-        return {0, 0};
-    }
-
     void check_stack(const std::string& where, const Method& m) {
-        const Code& code = m.code;
-        const int n = static_cast<int>(code.instrs.size());
-        std::vector<int> depth_at(n, -1);  // -1 = unvisited
-        std::vector<std::pair<int, int>> work;  // (pc, depth)
-        work.push_back({0, 0});
-        for (const Handler& h : code.handlers)
-            work.push_back({h.target, 1});  // thrown object on the stack
-
-        while (!work.empty()) {
-            auto [pc, depth] = work.back();
-            work.pop_back();
-            while (pc < n) {
-                if (depth_at[pc] != -1) {
-                    if (depth_at[pc] != depth) {
-                        problem(where, "inconsistent stack depth at pc " + std::to_string(pc));
-                        return;
-                    }
-                    break;  // already explored from here
-                }
-                depth_at[pc] = depth;
-                const Instruction& i = code.instrs[pc];
-                auto [net, need] = stack_effect(i);
-                if (depth < need) {
-                    problem(where,
-                            "stack underflow at pc " + std::to_string(pc) + " (" +
-                                std::string(op_name(i.op)) + ")");
-                    return;
-                }
-                depth += net;
-                if (i.op == Op::Return || i.op == Op::ReturnValue || i.op == Op::Throw) break;
-                if (i.op == Op::Goto) {
-                    pc = i.a;
-                    continue;
-                }
-                if (i.op == Op::IfTrue || i.op == Op::IfFalse) work.push_back({i.a, depth});
-                ++pc;
-            }
-        }
+        const StackDepth depth = stack_depth(m);
+        if (!depth.problem.empty()) problem(where, depth.problem);
     }
 
     const ClassPool& pool_;
     std::vector<std::string> problems_;
 };
 
+/// Net stack effect and minimum required depth of one instruction.
+std::pair<int, int> stack_effect(const Instruction& i) {
+    switch (i.op) {
+        case Op::Nop: return {0, 0};
+        case Op::Const: return {+1, 0};
+        case Op::Load: return {+1, 0};
+        case Op::Store: return {-1, 1};
+        case Op::Dup: return {+1, 1};
+        case Op::Pop: return {-1, 1};
+        case Op::Swap: return {0, 2};
+        case Op::Add:
+        case Op::Sub:
+        case Op::Mul:
+        case Op::Div:
+        case Op::Rem:
+        case Op::CmpEq:
+        case Op::CmpNe:
+        case Op::CmpLt:
+        case Op::CmpLe:
+        case Op::CmpGt:
+        case Op::CmpGe:
+        case Op::And:
+        case Op::Or:
+        case Op::Concat: return {-1, 2};
+        case Op::Neg:
+        case Op::Not:
+        case Op::Conv: return {0, 1};
+        case Op::Goto: return {0, 0};
+        case Op::IfTrue:
+        case Op::IfFalse: return {-1, 1};
+        case Op::New: return {+1, 0};
+        case Op::GetField: return {0, 1};
+        case Op::PutField: return {-2, 2};
+        case Op::GetStatic: return {+1, 0};
+        case Op::PutStatic: return {-1, 1};
+        case Op::InvokeVirtual:
+        case Op::InvokeInterface:
+        case Op::InvokeStatic:
+        case Op::InvokeSpecial: {
+            MethodSig sig = MethodSig::parse(i.desc);
+            int pops = static_cast<int>(sig.params().size()) +
+                       (i.op == Op::InvokeStatic ? 0 : 1);
+            int pushes = sig.ret().is_void() ? 0 : 1;
+            return {pushes - pops, pops};
+        }
+        case Op::Return: return {0, 0};
+        case Op::ReturnValue: return {-1, 1};
+        case Op::Throw: return {-1, 1};
+        case Op::NewArray: return {0, 1};   // pop length, push ref
+        case Op::ALoad: return {-1, 2};     // pop idx+ref, push elem
+        case Op::AStore: return {-3, 3};
+        case Op::ALen: return {0, 1};
+    }
+    return {0, 0};
+}
+
 }  // namespace
+
+StackDepth stack_depth(const Method& m) {
+    const Code& code = m.code;
+    const int n = static_cast<int>(code.instrs.size());
+    std::vector<int> depth_at(n, -1);  // -1 = unvisited
+    std::vector<std::pair<int, int>> work;  // (pc, depth)
+    work.push_back({0, 0});
+    for (const Handler& h : code.handlers)
+        work.push_back({h.target, 1});  // thrown object on the stack
+
+    StackDepth out;
+    while (!work.empty()) {
+        auto [pc, depth] = work.back();
+        work.pop_back();
+        while (pc >= 0 && pc < n) {
+            if (depth_at[pc] != -1) {
+                if (depth_at[pc] != depth) {
+                    out.problem = "inconsistent stack depth at pc " + std::to_string(pc);
+                    return out;
+                }
+                break;  // already explored from here
+            }
+            depth_at[pc] = depth;
+            const Instruction& i = code.instrs[pc];
+            auto [net, need] = stack_effect(i);
+            if (depth < need) {
+                out.problem = "stack underflow at pc " + std::to_string(pc) + " (" +
+                              std::string(op_name(i.op)) + ")";
+                return out;
+            }
+            out.max = std::max(out.max, depth);
+            depth += net;
+            out.max = std::max(out.max, depth);
+            if (i.op == Op::Return || i.op == Op::ReturnValue || i.op == Op::Throw) break;
+            if (i.op == Op::Goto) {
+                pc = i.a;
+                continue;
+            }
+            if (i.op == Op::IfTrue || i.op == Op::IfFalse) work.push_back({i.a, depth});
+            ++pc;
+        }
+    }
+    return out;
+}
 
 std::vector<std::string> verify_pool_collect(const ClassPool& pool,
                                              support::ThreadPool* threads) {

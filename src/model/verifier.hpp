@@ -40,4 +40,13 @@ void verify_pool(const ClassPool& pool, support::ThreadPool* threads = nullptr);
 std::vector<std::string> verify_pool_collect(const ClassPool& pool,
                                              support::ThreadPool* threads = nullptr);
 
+/// The verifier's operand-stack dataflow over one method body: every
+/// reachable pc must be entered at one depth, and no instruction may pop
+/// more than the stack holds.  The interpreter sizes frames from `max`.
+struct StackDepth {
+    int max = 0;          ///< deepest operand stack on any reachable path
+    std::string problem;  ///< the first inconsistency found; empty if none
+};
+StackDepth stack_depth(const Method& m);
+
 }  // namespace rafda::model

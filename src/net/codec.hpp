@@ -4,14 +4,17 @@
 // the interface for a class provide alternative remote versions, e.g.
 // SOAP-based, RMI-based, CORBA-based").  The shipped codecs are:
 //   RMIB  — compact length-prefixed binary (the RMI stand-in)
+//   CORBX — CDR-aligned binary behind a GIOP-style header (the CORBA stand-in)
 //   SOAPX — verbose XML-style text (the SOAP stand-in)
-// Both carry exactly the same message model; they differ in encoding cost
-// and wire size, which is what experiment E5 measures.
+// All three carry exactly the same message model; they differ in encoding
+// cost and wire size, which is what experiment E5 measures.
 //
 // Encoding is zero-copy: the `*_into` methods append the framed message to
 // a caller-supplied ByteWriter, which in the RPC path borrows a frame from
 // the System's BufferPool (DESIGN.md §17).  The Bytes-returning wrappers
-// remain for tests, tools and the migration path.
+// remain for tests, tools and the migration path.  String payloads move
+// in runs: encode writes each payload byte into the frame once, and decode
+// writes it once into the decoded value (DESIGN.md §17).
 #pragma once
 
 #include <memory>

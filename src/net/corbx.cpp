@@ -20,7 +20,8 @@ class CdrWriter {
 public:
     explicit CdrWriter(ByteWriter& w) : w_(w), base_(w.size()) {}
     void align4() {
-        while ((w_.size() - base_) % 4 != 0) w_.u8(0);
+        static constexpr char kPad[4] = {};
+        w_.text(std::string_view(kPad, (4 - (w_.size() - base_) % 4) % 4));
     }
     void u8(std::uint8_t v) { w_.u8(v); }
     void u32(std::uint32_t v) {
@@ -49,32 +50,21 @@ private:
 
 class CdrReader {
 public:
-    explicit CdrReader(const Bytes& data) : r_(data) {}
-    void align4() {
-        while (consumed_ % 4 != 0) {
-            r_.u8();
-            ++consumed_;
-        }
-    }
-    std::uint8_t u8() {
-        ++consumed_;
-        return r_.u8();
-    }
+    explicit CdrReader(const Bytes& data) : r_(data), size_(data.size()) {}
+    void align4() { r_.text((4 - (size_ - r_.remaining()) % 4) % 4); }
+    std::uint8_t u8() { return r_.u8(); }
     std::uint32_t u32() {
         align4();
-        consumed_ += 4;
         return r_.u32();
     }
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
     std::uint64_t u64() {
         align4();
-        consumed_ += 8;
         return r_.u64();
     }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64() {
         align4();
-        consumed_ += 8;
         return r_.f64();
     }
     /// Like ByteReader::count, after CDR alignment.
@@ -83,18 +73,13 @@ public:
         if (n > r_.remaining()) throw CodecError("corbx: count exceeds message");
         return n;
     }
-    std::string str() {
-        const std::uint32_t n = count();
-        std::string out;
-        out.reserve(n);
-        for (std::uint32_t k = 0; k < n; ++k) out += static_cast<char>(u8());
-        return out;
-    }
+    /// A length-prefixed string: one bounds check, one block copy.
+    std::string str() { return std::string(r_.text(u32())); }
     bool at_end() const { return r_.at_end(); }
 
 private:
     ByteReader r_;
-    std::size_t consumed_ = 0;
+    std::size_t size_;
 };
 
 void write_value(CdrWriter& w, const MarshalledValue& v) {

@@ -1,9 +1,7 @@
 #include "net/soapx.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <map>
 #include <string_view>
 #include <system_error>
 
@@ -24,6 +22,12 @@ namespace {
 // doubles (both pinned by SoapxFormat tests).
 
 void append_text(ByteWriter& w, std::string_view v) { w.text(v); }
+
+/// Escapes `v` straight into the frame: runs between specials are copied
+/// as blocks, with no temporary string.
+void append_escaped(ByteWriter& w, std::string_view v) {
+    xml_escape(v, [&w](std::string_view piece) { w.text(piece); });
+}
 
 template <typename Int>
 void append_int(ByteWriter& w, Int v) {
@@ -49,7 +53,7 @@ const char* tag_name(ValueTag t) {
     return "?";
 }
 
-ValueTag tag_from_name(const std::string& name) {
+ValueTag tag_from_name(std::string_view name) {
     if (name == "null") return ValueTag::Null;
     if (name == "bool") return ValueTag::Bool;
     if (name == "int") return ValueTag::Int;
@@ -57,7 +61,7 @@ ValueTag tag_from_name(const std::string& name) {
     if (name == "double") return ValueTag::Double;
     if (name == "string") return ValueTag::Str;
     if (name == "ref") return ValueTag::Ref;
-    throw CodecError("soapx: unknown value type " + name);
+    throw CodecError("soapx: unknown value type " + std::string(name));
 }
 
 void encode_value(ByteWriter& w, std::string_view element, const MarshalledValue& v) {
@@ -73,7 +77,7 @@ void encode_value(ByteWriter& w, std::string_view element, const MarshalledValue
             append_text(w, "\" oid=\"");
             append_int(w, v.ref_oid);
             append_text(w, "\" class=\"");
-            append_text(w, xml_escape(v.ref_class));
+            append_escaped(w, v.ref_class);
             append_text(w, "\">");
             break;
         case ValueTag::Null:
@@ -97,7 +101,7 @@ void encode_value(ByteWriter& w, std::string_view element, const MarshalledValue
             break;
         case ValueTag::Str:
             append_text(w, ">");
-            append_text(w, xml_escape(v.s));
+            append_escaped(w, v.s);
             break;
     }
     append_text(w, "</");
@@ -114,30 +118,32 @@ const char* kind_name(RequestKind k) {
     return "?";
 }
 
-RequestKind kind_from_name(const std::string& name) {
+RequestKind kind_from_name(std::string_view name) {
     if (name == "invoke") return RequestKind::Invoke;
     if (name == "create") return RequestKind::Create;
     if (name == "discover") return RequestKind::Discover;
-    throw CodecError("soapx: unknown request kind " + name);
+    throw CodecError("soapx: unknown request kind " + std::string(name));
 }
 
-// ---- a tiny element parser (handles exactly what we emit) ---------------
-
-struct Element {
-    std::string name;
-    std::map<std::string, std::string> attrs;
-    std::string text;                // concatenated character data
-    std::vector<Element> children;
-
-    const std::string& attr(const std::string& key) const {
-        auto it = attrs.find(key);
-        if (it == attrs.end()) throw CodecError("soapx: missing attribute " + key);
-        return it->second;
-    }
-};
+// ---- decoding -----------------------------------------------------------
+//
+// A pull scanner over the one document shape the encoder writes:
+//
+//   Envelope › Body › Request › arg*      Envelope › Body › Reply › result|fault
+//
+// Markup is matched as literals, in the encoder's order and spacing.
+// Attribute values and character data are found with memchr-backed finds
+// and unescaped in runs straight into the decoded field.  So the scanner
+// accepts a subset of what a generic XML reader would: no whitespace
+// between markup, no self-closing tags, no attributes beyond or out of the
+// encoder's, no character data where the encoder writes none.  Missing,
+// duplicate and extra attributes all fail a literal match, and the schema
+// fixes the depth at four, so no input can make the decoder recurse.
 
 /// Strict number parse: the whole text must be one number in range for
-/// `T` — no sign on unsigned types, no whitespace, no trailing junk.
+/// `T` — no sign on unsigned types, no whitespace, no trailing junk.  The
+/// text is parsed as written: an entity could only unescape to a byte no
+/// number holds, so a number with one is rejected either way.
 template <typename T>
 T parse_number(std::string_view text, const char* what) {
     T v{};
@@ -149,140 +155,93 @@ T parse_number(std::string_view text, const char* what) {
     return v;
 }
 
-// The deepest valid document: Envelope › Body › Request|Reply ›
-// arg|result|fault.  Anything deeper is rejected before it can recurse.
-constexpr int kMaxDepth = 4;
+std::string_view as_text(const Bytes& data) {
+    if (data.empty()) return {};
+    return std::string_view(reinterpret_cast<const char*>(data.data()), data.size());
+}
 
-// The scanner walks the wire bytes in place (string_view over the Bytes
-// payload) — decode no longer copies the document into a std::string
-// before parsing.
 class Scanner {
 public:
-    explicit Scanner(std::string_view text) : text_(text) {}
+    explicit Scanner(const Bytes& data) : text_(as_text(data)) {}
+
+    /// Consumes `markup` if it comes next.
+    bool accept(std::string_view markup) {
+        if (text_.substr(pos_, markup.size()) != markup) return false;
+        pos_ += markup.size();
+        return true;
+    }
+
+    /// Consumes `markup`, which must come next.
+    void expect(std::string_view markup) {
+        if (!accept(markup)) fail("expected \"" + std::string(markup) + "\"");
+    }
+
+    /// Consumes ` name="value"` and returns the value as written.
+    std::string_view attr(std::string_view name) {
+        if (!accept(" ") || !accept(name) || !accept("=\""))
+            fail("expected attribute " + std::string(name));
+        const std::size_t close = text_.find('"', pos_);
+        if (close == std::string_view::npos) fail("unterminated attribute");
+        return take(close, 1);
+    }
+
+    /// The character data before the next tag, as written.
+    std::string_view text() {
+        const std::size_t tag = text_.find('<', pos_);
+        if (tag == std::string_view::npos) fail("unterminated element");
+        return take(tag, 0);
+    }
 
     /// The document is exactly one root element: nothing may follow its
     /// close tag, not even whitespace the encoder never writes.
-    Element parse_document() {
-        Element root = parse_element(1);
-        if (pos_ != text_.size()) throw CodecError("soapx: trailing content");
-        return root;
+    void end() const {
+        if (pos_ != text_.size()) fail("trailing content");
     }
 
-private:
-    void skip_ws() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    [[noreturn]] void fail(const std::string& what) {
+    [[noreturn]] void fail(const std::string& what) const {
         throw CodecError("soapx: " + what + " at offset " + std::to_string(pos_));
     }
 
-    Element parse_element(int depth) {
-        if (depth > kMaxDepth) fail("elements nested too deep");
-        skip_ws();
-        if (pos_ >= text_.size() || text_[pos_] != '<') fail("expected '<'");
-        ++pos_;
-        Element el;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '_'))
-            el.name += text_[pos_++];
-        if (el.name.empty()) fail("empty element name");
-        // Attributes.
-        while (true) {
-            skip_ws();
-            if (pos_ >= text_.size()) fail("unterminated tag");
-            if (text_[pos_] == '>') {
-                ++pos_;
-                break;
-            }
-            if (text_[pos_] == '/') {
-                // self-closing
-                ++pos_;
-                if (pos_ >= text_.size() || text_[pos_] != '>') fail("bad self-close");
-                ++pos_;
-                return el;
-            }
-            std::string key;
-            while (pos_ < text_.size() && text_[pos_] != '=' &&
-                   !std::isspace(static_cast<unsigned char>(text_[pos_])))
-                key += text_[pos_++];
-            skip_ws();
-            if (pos_ >= text_.size() || text_[pos_] != '=') fail("expected '='");
-            ++pos_;
-            skip_ws();
-            if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected '\"'");
-            ++pos_;
-            const std::size_t start = pos_;
-            while (pos_ < text_.size() && text_[pos_] != '"') ++pos_;
-            if (pos_ >= text_.size()) fail("unterminated attribute");
-            if (!el.attrs.emplace(key, xml_unescape(text_.substr(start, pos_ - start)))
-                     .second)
-                fail("duplicate attribute " + key);
-            ++pos_;
-        }
-        // Content: text and child elements until matching close tag.
-        while (true) {
-            if (pos_ >= text_.size()) fail("unterminated element " + el.name);
-            if (text_[pos_] == '<') {
-                if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-                    pos_ += 2;
-                    const std::size_t start = pos_;
-                    while (pos_ < text_.size() && text_[pos_] != '>') ++pos_;
-                    if (pos_ >= text_.size()) fail("unterminated close tag");
-                    std::string_view close = text_.substr(start, pos_ - start);
-                    ++pos_;
-                    if (close != el.name)
-                        fail("mismatched close tag " + std::string(close) + " for " +
-                             el.name);
-                    el.text = xml_unescape(el.text);
-                    return el;
-                }
-                el.children.push_back(parse_element(depth + 1));
-            } else {
-                el.text += text_[pos_++];
-            }
-        }
+private:
+    /// The bytes up to `stop`, then skips `skip` more.
+    std::string_view take(std::size_t stop, std::size_t skip) {
+        const std::string_view v = text_.substr(pos_, stop - pos_);
+        pos_ = stop + skip;
+        return v;
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
 };
 
-MarshalledValue decode_value(const Element& el) {
+/// The attributes and content of an <arg> or <result> element whose name
+/// `s` has just consumed, up to (not including) its close tag.
+MarshalledValue decode_value(Scanner& s) {
     MarshalledValue v;
-    v.tag = tag_from_name(el.attr("type"));
+    v.tag = tag_from_name(s.attr("type"));
+    if (v.tag == ValueTag::Ref) {
+        v.ref_node = parse_number<std::int32_t>(s.attr("node"), "ref node");
+        v.ref_oid = parse_number<std::uint64_t>(s.attr("oid"), "ref oid");
+        xml_unescape(s.attr("class"), v.ref_class);
+    }
+    s.expect(">");
+    const std::string_view text = s.text();
     switch (v.tag) {
-        case ValueTag::Null: break;
-        case ValueTag::Bool:
-            if (el.text != "true" && el.text != "false")
-                throw CodecError("soapx: bad bool \"" + el.text + "\"");
-            v.b = el.text == "true";
-            break;
-        case ValueTag::Int: v.i = parse_number<std::int32_t>(el.text, "int"); break;
-        case ValueTag::Long: v.j = parse_number<std::int64_t>(el.text, "long"); break;
-        case ValueTag::Double: v.d = parse_number<double>(el.text, "double"); break;
-        case ValueTag::Str: v.s = el.text; break;
+        case ValueTag::Null:
         case ValueTag::Ref:
-            v.ref_node = parse_number<std::int32_t>(el.attr("node"), "ref node");
-            v.ref_oid = parse_number<std::uint64_t>(el.attr("oid"), "ref oid");
-            v.ref_class = el.attr("class");
+            if (!text.empty()) s.fail("unexpected character data");
             break;
+        case ValueTag::Bool:
+            if (text != "true" && text != "false")
+                throw CodecError("soapx: bad bool \"" + std::string(text) + "\"");
+            v.b = text == "true";
+            break;
+        case ValueTag::Int: v.i = parse_number<std::int32_t>(text, "int"); break;
+        case ValueTag::Long: v.j = parse_number<std::int64_t>(text, "long"); break;
+        case ValueTag::Double: v.d = parse_number<double>(text, "double"); break;
+        case ValueTag::Str: xml_unescape(text, v.s); break;
     }
     return v;
-}
-
-const Element& only_child(const Element& el, const char* name) {
-    if (el.children.size() != 1 || el.children[0].name != name)
-        throw CodecError(std::string("soapx: expected single <") + name + "> in <" +
-                         el.name + ">");
-    return el.children[0];
-}
-
-std::string_view as_text(const Bytes& data) {
-    if (data.empty()) return {};
-    return std::string_view(reinterpret_cast<const char*>(data.data()), data.size());
 }
 
 }  // namespace
@@ -302,11 +261,11 @@ void SoapxCodec::encode_request_into(const CallRequest& req, ByteWriter& w) cons
     append_text(w, "\" target=\"");
     append_int(w, req.target_oid);
     append_text(w, "\" class=\"");
-    append_text(w, xml_escape(req.cls));
+    append_escaped(w, req.cls);
     append_text(w, "\" method=\"");
-    append_text(w, xml_escape(req.method));
+    append_escaped(w, req.method);
     append_text(w, "\" desc=\"");
-    append_text(w, xml_escape(req.desc));
+    append_escaped(w, req.desc);
     append_text(w, "\" attempt=\"");
     append_int(w, req.attempt);
     append_text(w, "\" deadline=\"");
@@ -317,25 +276,26 @@ void SoapxCodec::encode_request_into(const CallRequest& req, ByteWriter& w) cons
 }
 
 CallRequest SoapxCodec::decode_request(const Bytes& data) const {
-    Element envelope = Scanner(as_text(data)).parse_document();
-    if (envelope.name != "Envelope") throw CodecError("soapx: expected <Envelope>");
-    const Element& request = only_child(only_child(envelope, "Body"), "Request");
-    // Exactly the nine attributes the encoder writes; all are required.
-    if (request.attrs.size() != 9) throw CodecError("soapx: unexpected <Request> attribute");
+    Scanner s(data);
+    s.expect("<Envelope><Body><Request");
+    // Exactly the nine attributes the encoder writes, in its order.
     CallRequest req;
-    req.kind = kind_from_name(request.attr("kind"));
-    req.request_id = parse_number<std::uint64_t>(request.attr("id"), "id");
-    req.src_node = parse_number<std::int32_t>(request.attr("src"), "src");
-    req.target_oid = parse_number<std::uint64_t>(request.attr("target"), "target");
-    req.cls = request.attr("class");
-    req.method = request.attr("method");
-    req.desc = request.attr("desc");
-    req.attempt = parse_number<std::uint32_t>(request.attr("attempt"), "attempt");
-    req.deadline_us = parse_number<std::uint64_t>(request.attr("deadline"), "deadline");
-    for (const Element& child : request.children) {
-        if (child.name != "arg") throw CodecError("soapx: unexpected <" + child.name + ">");
-        req.args.push_back(decode_value(child));
+    req.kind = kind_from_name(s.attr("kind"));
+    req.request_id = parse_number<std::uint64_t>(s.attr("id"), "id");
+    req.src_node = parse_number<std::int32_t>(s.attr("src"), "src");
+    req.target_oid = parse_number<std::uint64_t>(s.attr("target"), "target");
+    xml_unescape(s.attr("class"), req.cls);
+    xml_unescape(s.attr("method"), req.method);
+    xml_unescape(s.attr("desc"), req.desc);
+    req.attempt = parse_number<std::uint32_t>(s.attr("attempt"), "attempt");
+    req.deadline_us = parse_number<std::uint64_t>(s.attr("deadline"), "deadline");
+    s.expect(">");
+    while (s.accept("<arg")) {
+        req.args.push_back(decode_value(s));
+        s.expect("</arg>");
     }
+    s.expect("</Request></Body></Envelope>");
+    s.end();
     return req;
 }
 
@@ -345,9 +305,9 @@ void SoapxCodec::encode_reply_into(const CallReply& reply, ByteWriter& w) const 
     append_text(w, "\">");
     if (reply.is_fault) {
         append_text(w, "<fault class=\"");
-        append_text(w, xml_escape(reply.fault_class));
+        append_escaped(w, reply.fault_class);
         append_text(w, "\">");
-        append_text(w, xml_escape(reply.fault_msg));
+        append_escaped(w, reply.fault_msg);
         append_text(w, "</fault>");
     } else {
         encode_value(w, "result", reply.result);
@@ -356,23 +316,24 @@ void SoapxCodec::encode_reply_into(const CallReply& reply, ByteWriter& w) const 
 }
 
 CallReply SoapxCodec::decode_reply(const Bytes& data) const {
-    Element envelope = Scanner(as_text(data)).parse_document();
-    if (envelope.name != "Envelope") throw CodecError("soapx: expected <Envelope>");
-    const Element& reply_el = only_child(only_child(envelope, "Body"), "Reply");
+    Scanner s(data);
+    s.expect("<Envelope><Body><Reply");
     CallReply reply;
-    reply.request_id = parse_number<std::uint64_t>(reply_el.attr("id"), "id");
-    if (reply_el.children.size() != 1)
-        throw CodecError("soapx: reply must have exactly one child");
-    const Element& payload = reply_el.children[0];
-    if (payload.name == "fault") {
+    reply.request_id = parse_number<std::uint64_t>(s.attr("id"), "id");
+    s.expect(">");
+    if (s.accept("<fault")) {
         reply.is_fault = true;
-        reply.fault_class = payload.attr("class");
-        reply.fault_msg = payload.text;
-    } else if (payload.name == "result") {
-        reply.result = decode_value(payload);
+        xml_unescape(s.attr("class"), reply.fault_class);
+        s.expect(">");
+        xml_unescape(s.text(), reply.fault_msg);
+        s.expect("</fault>");
     } else {
-        throw CodecError("soapx: unexpected reply payload <" + payload.name + ">");
+        s.expect("<result");
+        reply.result = decode_value(s);
+        s.expect("</result>");
     }
+    s.expect("</Reply></Body></Envelope>");
+    s.end();
     return reply;
 }
 

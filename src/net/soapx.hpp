@@ -1,6 +1,7 @@
 // SOAPX — the verbose XML-style text protocol (SOAP stand-in).
 //
-// Example request on the wire:
+// Example request (the wire carries it on one line, with no whitespace
+// between tags; the decoder accepts exactly that layout):
 //
 //   <Envelope><Body>
 //     <Request kind="invoke" id="7" src="0" target="12" class=""

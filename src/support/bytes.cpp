@@ -42,12 +42,17 @@ void ByteWriter::f64(double v) {
 
 void ByteWriter::str(std::string_view v) {
     u32(static_cast<std::uint32_t>(v.size()));
-    buf_->insert(buf_->end(), v.begin(), v.end());
+    text(v);
 }
 
 void ByteWriter::raw(const Bytes& v) { buf_->insert(buf_->end(), v.begin(), v.end()); }
 
-void ByteWriter::text(std::string_view v) { buf_->insert(buf_->end(), v.begin(), v.end()); }
+void ByteWriter::text(std::string_view v) {
+    // Insert from uint8_t pointers: from char iterators the insert would
+    // convert element by element instead of copying one block.
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf_->insert(buf_->end(), p, p + v.size());
+}
 
 void ByteReader::need(std::size_t n) const {
     if (pos_ + n > data_->size()) throw CodecError("truncated message");
@@ -103,12 +108,13 @@ double ByteReader::f64() {
     return v;
 }
 
-std::string ByteReader::str() {
-    std::uint32_t n = u32();
+std::string ByteReader::str() { return std::string(text(u32())); }
+
+std::string_view ByteReader::text(std::size_t n) {
     need(n);
-    std::string s(reinterpret_cast<const char*>(data_->data() + pos_), n);
+    const std::string_view v(reinterpret_cast<const char*>(data_->data() + pos_), n);
     pos_ += n;
-    return s;
+    return v;
 }
 
 void ByteReader::throw_count_error() { throw CodecError("element count exceeds message"); }

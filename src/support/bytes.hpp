@@ -72,6 +72,9 @@ public:
     std::int64_t i64();
     double f64();
     std::string str();
+    /// The next `n` bytes as raw character data (no length prefix), after
+    /// one bounds check; the view lives as long as the input.
+    std::string_view text(std::size_t n);
     /// A u32 element count, checked against the bytes left: every element
     /// takes at least one byte, so a larger count is corrupt and throws
     /// CodecError before anyone reserves room for it.

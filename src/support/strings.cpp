@@ -1,6 +1,10 @@
 #include "support/strings.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <iterator>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -55,40 +59,57 @@ bool ends_with(std::string_view s, std::string_view suffix) {
     return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
+std::size_t xml_plain_run(std::string_view s) {
+    static constexpr auto kSpecial = [] {
+        std::array<bool, 256> t{};
+        t['&'] = t['<'] = t['>'] = t['"'] = true;
+        return t;
+    }();
+    std::size_t n = 0;
+    while (n < s.size() && !kSpecial[static_cast<unsigned char>(s[n])]) ++n;
+    return n;
+}
+
+std::string_view xml_entity(char c) {
+    switch (c) {
+        case '&': return "&amp;";
+        case '<': return "&lt;";
+        case '>': return "&gt;";
+        default: return "&quot;";
+    }
+}
+
 std::string xml_escape(std::string_view s) {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '&': out += "&amp;"; break;
-            case '<': out += "&lt;"; break;
-            case '>': out += "&gt;"; break;
-            case '"': out += "&quot;"; break;
-            default: out += c;
-        }
-    }
+    xml_escape(s, [&out](std::string_view piece) { out += piece; });
     return out;
+}
+
+void xml_unescape(std::string_view s, std::string& out) {
+    static constexpr std::pair<std::string_view, char> kEntities[] = {
+        {"amp;", '&'}, {"lt;", '<'}, {"gt;", '>'}, {"quot;", '"'}};
+    out.reserve(out.size() + s.size());
+    while (true) {
+        const std::size_t amp = s.find('&');
+        out.append(s.substr(0, amp));
+        if (amp == std::string_view::npos) return;
+        s.remove_prefix(amp + 1);
+        const auto* e = std::find_if(std::begin(kEntities), std::end(kEntities),
+                                     [s](const auto& e) { return starts_with(s, e.first); });
+        if (e == std::end(kEntities)) {
+            const std::size_t semi = s.find(';');
+            if (semi == std::string_view::npos) throw CodecError("unterminated XML entity");
+            throw CodecError("unknown XML entity: " + std::string(s.substr(0, semi)));
+        }
+        out += e->second;
+        s.remove_prefix(e->first.size());
+    }
 }
 
 std::string xml_unescape(std::string_view s) {
     std::string out;
-    out.reserve(s.size());
-    std::size_t i = 0;
-    while (i < s.size()) {
-        if (s[i] != '&') {
-            out += s[i++];
-            continue;
-        }
-        std::size_t semi = s.find(';', i);
-        if (semi == std::string_view::npos) throw CodecError("unterminated XML entity");
-        std::string_view ent = s.substr(i + 1, semi - i - 1);
-        if (ent == "amp") out += '&';
-        else if (ent == "lt") out += '<';
-        else if (ent == "gt") out += '>';
-        else if (ent == "quot") out += '"';
-        else throw CodecError("unknown XML entity: " + std::string(ent));
-        i = semi + 1;
-    }
+    xml_unescape(s, out);
     return out;
 }
 

@@ -10,6 +10,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "model/verifier.hpp"
 #include "support/error.hpp"
 
 namespace rafda::vm {
@@ -337,87 +338,15 @@ Interpreter::MethodInfo& Interpreter::info_for(const Method& m) {
     if (!m.is_native && !m.is_abstract) {
         info.locals = static_cast<std::size_t>(
             std::max(m.code.max_locals, m.param_slots()));
-        info.frame = info.locals + max_operand_depth(m);
+        // The verifier's dataflow: every reachable pc has one depth, so a
+        // frame of locals + the maximum never overflows.
+        const model::StackDepth depth = model::stack_depth(m);
+        if (!depth.problem.empty())
+            throw VmError(depth.problem + " in " + m.name + m.descriptor());
+        info.frame = info.locals + static_cast<std::size_t>(depth.max);
     }
     info.gen = cache_gen();
     return info;
-}
-
-std::size_t Interpreter::max_operand_depth(const Method& m) {
-    // (pops, pushes) of one instruction.
-    auto effect = [this](const Instruction& i) -> std::pair<int, int> {
-        switch (i.op) {
-            case Op::Nop:
-            case Op::Goto:
-            case Op::Return: return {0, 0};
-            case Op::Const:
-            case Op::Load:
-            case Op::New:
-            case Op::GetStatic: return {0, 1};
-            case Op::Dup: return {1, 2};
-            case Op::Store:
-            case Op::Pop:
-            case Op::PutStatic:
-            case Op::IfTrue:
-            case Op::IfFalse:
-            case Op::ReturnValue:
-            case Op::Throw: return {1, 0};
-            case Op::Neg:
-            case Op::Not:
-            case Op::Conv:
-            case Op::GetField:
-            case Op::NewArray:
-            case Op::ALen: return {1, 1};
-            case Op::Swap: return {2, 2};
-            case Op::PutField: return {2, 0};
-            case Op::AStore: return {3, 0};
-            case Op::InvokeVirtual:
-            case Op::InvokeInterface:
-            case Op::InvokeStatic:
-            case Op::InvokeSpecial: {
-                auto [nargs, ret_void] = sig_info(i.desc);
-                return {nargs + (i.op == Op::InvokeStatic ? 0 : 1), ret_void ? 0 : 1};
-            }
-            default: return {2, 1};  // binary arithmetic, comparison, logic; ALoad
-        }
-    };
-    // The verifier's stack-depth dataflow, keeping the maximum: every
-    // reachable pc has one depth, so a frame of locals + max never
-    // overflows.  Unreachable code is never visited (and never runs).
-    const std::vector<Instruction>& code = m.code.instrs;
-    const int n = static_cast<int>(code.size());
-    std::vector<int> depth_at(code.size(), -1);  // -1 = unvisited
-    std::vector<std::pair<int, int>> work{{0, 0}};  // (pc, depth)
-    for (const model::Handler& h : m.code.handlers) work.push_back({h.target, 1});
-    int max_depth = 1;  // a handler's thrown object
-    auto refuse = [&](const char* what, int pc) {
-        throw VmError(std::string(what) + " at pc " + std::to_string(pc) + " in " + m.name +
-                      m.descriptor());
-    };
-    while (!work.empty()) {
-        auto [pc, depth] = work.back();
-        work.pop_back();
-        while (pc >= 0 && pc < n) {
-            if (depth_at[pc] != -1) {
-                if (depth_at[pc] != depth) refuse("inconsistent operand stack depth", pc);
-                break;
-            }
-            depth_at[pc] = depth;
-            const Instruction& i = code[pc];
-            auto [pops, pushes] = effect(i);
-            if (depth < pops) refuse("operand stack underflow", pc);
-            depth += pushes - pops;
-            max_depth = std::max(max_depth, depth);
-            if (i.op == Op::Return || i.op == Op::ReturnValue || i.op == Op::Throw) break;
-            if (i.op == Op::Goto) {
-                pc = i.a;
-                continue;
-            }
-            if (i.op == Op::IfTrue || i.op == Op::IfFalse) work.push_back({i.a, depth});
-            ++pc;
-        }
-    }
-    return static_cast<std::size_t>(max_depth);
 }
 
 void Interpreter::bind_native(const ClassFile& cls, const Method& m, MethodInfo& info) {
@@ -483,13 +412,14 @@ Value Interpreter::call_native(const ClassFile& cls, const Method& m, MethodInfo
         const std::size_t reserve = std::size_t{1} << 20;
         return limit > 2 * reserve ? limit - reserve : limit / 2;
     }();
-    const char probe = 0;
+    // Addresses as integers: the base is recorded in one native frame and
+    // compared from a deeper one, which pointers into two frames may not be.
+    const auto here = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
     if (call_depth_ <= 1) {
-        stack_base_ = &probe;
+        stack_base_ = here;
         return false;
     }
-    return stack_base_ > &probe &&
-           static_cast<std::size_t>(stack_base_ - &probe) > budget;
+    return stack_base_ > here && stack_base_ - here > budget;
 }
 
 [[gnu::noinline]] void Interpreter::throw_stack_overflow(const ClassFile& cls,

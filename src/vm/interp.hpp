@@ -27,6 +27,7 @@
 // embedder as GuestException.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -331,9 +332,6 @@ private:
     std::vector<Value>& statics_of(const std::string& class_name);
     /// The record of `m`, (re)built lazily for the current generation.
     MethodInfo& info_for(const model::Method& m);
-    /// Deepest operand stack `m` can build (a dataflow over its code, the
-    /// verifier's); throws VmError on code whose depth is inconsistent.
-    std::size_t max_operand_depth(const model::Method& m);
     /// Moves to the segment above the current one, creating or enlarging
     /// it so that `size` slots fit; returns its first slot.
     Value* next_segment(std::size_t size);
@@ -395,7 +393,7 @@ private:
     std::string output_;
     std::int64_t logical_time_ = 0;
     int call_depth_ = 0;
-    const char* stack_base_ = nullptr;  // see native_stack_exhausted()
+    std::uintptr_t stack_base_ = 0;  // see native_stack_exhausted()
 
     /// Static storage of one class.  `names` remembers which field each
     /// slot held so values survive a pool mutation that reorders or

@@ -172,6 +172,24 @@ TEST_P(BothCodecs, OnlyRmibSupportsBatchEntries) {
     }
 }
 
+TEST_P(BothCodecs, LargeStringRoundTrip) {
+    // 64 KiB cycling through every byte value, so each XML special, NUL and
+    // every byte >= 0x80 recur throughout one long payload.
+    std::string big(64 * 1024, '\0');
+    for (std::size_t k = 0; k < big.size(); ++k) big[k] = static_cast<char>(k * 7 % 256);
+    CallRequest req = sample_request();
+    req.args = {MarshalledValue::of_str(big), MarshalledValue::of_ref(1, 2, big)};
+    EXPECT_EQ(codec_->decode_request(codec_->encode_request(req)), req);
+    CallReply reply;
+    reply.result = MarshalledValue::of_str(big);
+    EXPECT_EQ(codec_->decode_reply(codec_->encode_reply(reply)), reply);
+    reply.result = {};
+    reply.is_fault = true;
+    reply.fault_class = big;
+    reply.fault_msg = big;
+    EXPECT_EQ(codec_->decode_reply(codec_->encode_reply(reply)), reply);
+}
+
 INSTANTIATE_TEST_SUITE_P(Protocols, BothCodecs,
                          ::testing::Values("RMI", "SOAP", "CORBA"));
 
@@ -297,8 +315,8 @@ TEST(Codecs, SoapNumbersAreParsedStrictly) {
 }
 
 TEST(Codecs, SoapDeepNestingIsCodecError) {
-    // The parser recurses once per level, so without a depth bound this
-    // frame overflows the stack; the bound rejects it at level 5.
+    // A recursive element parser would overflow the stack on this frame;
+    // the scanner's fixed schema rejects it at the first unexpected tag.
     constexpr int kLevels = 100'000;
     std::string xml;
     xml.reserve(7 * kLevels);
@@ -315,6 +333,34 @@ TEST(Codecs, SoapDeepNestingIsCodecError) {
                  CodecError);
 }
 
+TEST(Codecs, SoapAcceptsOnlyTheEncodersLayout) {
+    // The decoder reads the one layout the encoder writes.  Each variant
+    // below is well-formed XML that a generic reader would accept, and
+    // each is rejected.
+    const std::string attrs = kSoapBase + " attempt=\"0\" deadline=\"0\"";
+    SoapxCodec soapx;
+    EXPECT_EQ(soapx.decode_request(soap_request_with(attrs)).args,
+              std::vector<MarshalledValue>{MarshalledValue::of_int(-3)});
+    auto text_of = [](const Bytes& b) { return std::string(b.begin(), b.end()); };
+    const std::string good = text_of(soap_request_with(attrs));
+    auto replaced = [&](const std::string& from, const std::string& to) {
+        std::string xml = good;
+        xml.replace(xml.find(from), from.size(), to);
+        return Bytes(xml.begin(), xml.end());
+    };
+    for (const Bytes& bad :
+         {replaced("<Body>", " <Body>"), replaced("<Body>", "<Body >"),
+          replaced("<Envelope>", "<Envelope xmlns=\"x\">"),
+          replaced("<arg type=\"int\">-3</arg>", "<arg type=\"null\"/>"),
+          replaced("<arg type=\"int\">-3</arg>", "<arg type=\"null\">x</arg>"),
+          replaced("<arg type=\"int\">", "<arg type=\"int\" x=\"1\">"),
+          replaced("<arg type=\"int\">", "<arg  type=\"int\">"),
+          replaced("kind=\"invoke\" id=\"9\"", "id=\"9\" kind=\"invoke\""),
+          replaced("kind=\"invoke\"", "kind = \"invoke\""),
+          replaced("\"><arg", "\">\n<arg"), replaced("</Request>", "</Request >")})
+        EXPECT_THROW(soapx.decode_request(bad), CodecError) << text_of(bad);
+}
+
 TEST(Codecs, SoapExtensionAttributesDecode) {
     // The reliability attributes carry through a decode of the literal
     // document.
@@ -325,6 +371,82 @@ TEST(Codecs, SoapExtensionAttributesDecode) {
     CallRequest req = SoapxCodec().decode_request(Bytes(xml.begin(), xml.end()));
     EXPECT_EQ(req.attempt, 4u);
     EXPECT_EQ(req.deadline_us, 123456u);
+}
+
+// ---- Golden frames --------------------------------------------------------
+//
+// The exact bytes of one call and its reply whose strings hold every XML
+// special, an apostrophe (which SOAPX leaves as is) and a two-byte UTF-8
+// sequence, with a Ref whose class name holds '&'.  Any codec rewrite must
+// reproduce them byte for byte.
+
+const std::string kGoldenText = "a<b>c&d\"e'f\xC3\xA9" "g";
+
+CallRequest golden_request() {
+    CallRequest req;
+    req.kind = RequestKind::Invoke;
+    req.request_id = 77;
+    req.src_node = 2;
+    req.target_oid = 4096;
+    req.method = "echo";
+    req.desc = "(LR&D;S)S";
+    req.attempt = 1;
+    req.deadline_us = 300;
+    req.args = {MarshalledValue::of_ref(1, 99, "R&D_O_Int"), MarshalledValue::of_str(kGoldenText),
+                MarshalledValue::of_double(-0.25)};
+    return req;
+}
+
+CallReply golden_reply() {
+    CallReply reply;
+    reply.request_id = 77;
+    reply.result = MarshalledValue::of_str(kGoldenText);
+    return reply;
+}
+
+std::string hex(const Bytes& b) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (std::uint8_t c : b) {
+        out += kDigits[c >> 4];
+        out += kDigits[c & 15];
+    }
+    return out;
+}
+
+TEST(GoldenFrames, Soapx) {
+    SoapxCodec soapx;
+    const Bytes request = soapx.encode_request(golden_request());
+    EXPECT_EQ(std::string(request.begin(), request.end()),
+              "<Envelope><Body><Request kind=\"invoke\" id=\"77\" src=\"2\" target=\"4096\" "
+              "class=\"\" method=\"echo\" desc=\"(LR&amp;D;S)S\" attempt=\"1\" "
+              "deadline=\"300\"><arg type=\"ref\" node=\"1\" oid=\"99\" "
+              "class=\"R&amp;D_O_Int\"></arg><arg type=\"string\">"
+              "a&lt;b&gt;c&amp;d&quot;e'f\xC3\xA9" "g</arg><arg type=\"double\">-0.25</arg>"
+              "</Request></Body></Envelope>");
+    EXPECT_EQ(soapx.decode_request(request), golden_request());
+    const Bytes reply = soapx.encode_reply(golden_reply());
+    EXPECT_EQ(std::string(reply.begin(), reply.end()),
+              "<Envelope><Body><Reply id=\"77\"><result type=\"string\">"
+              "a&lt;b&gt;c&amp;d&quot;e'f\xC3\xA9" "g</result></Reply></Body></Envelope>");
+    EXPECT_EQ(soapx.decode_reply(reply), golden_reply());
+}
+
+TEST(GoldenFrames, Corbx) {
+    const auto corbx = make_codec("CORBA");
+    const Bytes request = corbx->encode_request(golden_request());
+    EXPECT_EQ(hex(request),
+              "435242580100000000000000010000002c01000000000000000000004d000000"
+              "0000000002000000001000000000000000000000040000006563686f09000000"
+              "284c5226443b5329530000000300000006000000010000006300000000000000"
+              "090000005226445f4f5f496e740500000e000000613c623e63266422652766c3"
+              "a9670400000000000000d0bf");
+    EXPECT_EQ(corbx->decode_request(request), golden_request());
+    const Bytes reply = corbx->encode_reply(golden_reply());
+    EXPECT_EQ(hex(reply),
+              "4352425801000100000000004d00000000000000000500000e000000613c623e"
+              "63266422652766c3a967");
+    EXPECT_EQ(corbx->decode_reply(reply), golden_reply());
 }
 
 // ---- RMIB batch-entry framing (DESIGN.md §17) ---------------------------
